@@ -1,6 +1,6 @@
 //! Algorithm registry: the five protocols the paper evaluates.
 
-use cc_baselines::{Baseline, DcqcnFactory, HpccFactory, PowerTcpFactory, TimelyFactory};
+use cc_baselines::{DcqcnFactory, HpccFactory, PowerTcpFactory, TimelyFactory};
 use mlcc_core::{MlccFactory, MlccParams};
 use netsim::cc::CcFactory;
 use netsim::config::DciFeatures;
@@ -59,23 +59,6 @@ impl Algo {
             _ => DciFeatures::baseline(),
         }
     }
-
-    pub fn from_name(s: &str) -> Option<Algo> {
-        Algo::ALL
-            .into_iter()
-            .find(|a| a.name().eq_ignore_ascii_case(s))
-    }
-
-    /// The corresponding `cc_baselines::Baseline`, if this is one.
-    pub fn as_baseline(self) -> Option<Baseline> {
-        match self {
-            Algo::Dcqcn => Some(Baseline::Dcqcn),
-            Algo::Timely => Some(Baseline::Timely),
-            Algo::Hpcc => Some(Baseline::Hpcc),
-            Algo::PowerTcp => Some(Baseline::PowerTcp),
-            Algo::Mlcc => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,14 +80,5 @@ mod tests {
             assert!(!a.dci_features().pfq_enabled);
             assert!(!a.dci_features().near_source_enabled);
         }
-    }
-
-    #[test]
-    fn from_name_round_trips() {
-        for a in Algo::ALL {
-            assert_eq!(Algo::from_name(a.name()), Some(a));
-            assert_eq!(Algo::from_name(&a.name().to_lowercase()), Some(a));
-        }
-        assert_eq!(Algo::from_name("bogus"), None);
     }
 }

@@ -15,64 +15,47 @@
 //!   loop is inert);
 //! * **DCQCN** — baseline for reference.
 
-use mlcc_bench::scenarios::large_scale::{run, run_custom, LargeScaleConfig, LargeScaleResult};
-use mlcc_bench::scenarios::run_parallel;
+use mlcc_bench::scenarios::large_scale::{run, run_custom, LargeScaleConfig};
+use mlcc_bench::scenarios::{run_parallel, RunSummary};
 use mlcc_bench::Algo;
-use mlcc_core::{MlccFactory, MlccParams};
+use mlcc_core::MlccParams;
 use netsim::config::DciFeatures;
 use simstats::TextTable;
 use workload::TrafficMix;
 
 fn main() {
     let cfg = LargeScaleConfig::heavy(TrafficMix::Hadoop);
-    let jobs: Vec<Box<dyn FnOnce() -> LargeScaleResult + Send>> = vec![
-        Box::new(move || {
-            run_custom(
-                Algo::Mlcc,
-                "MLCC (full)",
-                Box::new(MlccFactory::default()),
-                DciFeatures::mlcc(),
-                cfg,
-            )
-        }),
-        Box::new(move || {
-            run_custom(
-                Algo::Mlcc,
-                "no near-source",
-                Box::new(MlccFactory::default()),
-                DciFeatures {
-                    near_source_enabled: false,
-                    ..DciFeatures::mlcc()
-                },
-                cfg,
-            )
-        }),
-        Box::new(move || {
-            run_custom(
-                Algo::Mlcc,
-                "no DQM",
-                Box::new(MlccFactory::new(MlccParams {
-                    dqm_enabled: false,
-                    ..MlccParams::default()
-                })),
-                DciFeatures::mlcc(),
-                cfg,
-            )
-        }),
-        Box::new(move || {
-            run_custom(
-                Algo::Mlcc,
-                "no PFQ/credit",
-                Box::new(MlccFactory::default()),
-                DciFeatures {
-                    pfq_enabled: false,
-                    ..DciFeatures::mlcc()
-                },
-                cfg,
-            )
-        }),
-        Box::new(move || run(Algo::Dcqcn, cfg)),
+    let no_dqm = MlccParams {
+        dqm_enabled: false,
+        ..MlccParams::default()
+    };
+    let variants = [
+        ("MLCC (full)", MlccParams::default(), DciFeatures::mlcc()),
+        (
+            "no near-source",
+            MlccParams::default(),
+            DciFeatures {
+                near_source_enabled: false,
+                ..DciFeatures::mlcc()
+            },
+        ),
+        ("no DQM", no_dqm, DciFeatures::mlcc()),
+        (
+            "no PFQ/credit",
+            MlccParams::default(),
+            DciFeatures {
+                pfq_enabled: false,
+                ..DciFeatures::mlcc()
+            },
+        ),
     ];
+    let mut jobs: Vec<Box<dyn FnOnce() -> (&'static str, RunSummary) + Send>> = Vec::new();
+    for (label, params, dci) in variants {
+        jobs.push(Box::new(move || {
+            (label, run_custom(Algo::mlcc_with(params), dci, cfg))
+        }));
+    }
+    jobs.push(Box::new(move || ("DCQCN", run(Algo::Dcqcn, cfg))));
     let results = run_parallel(jobs);
 
     println!("# MLCC ablation — Hadoop heavy load (50% intra + 20% cross)");
@@ -85,9 +68,9 @@ fn main() {
         "pfc",
         "done",
     ]);
-    for r in &results {
+    for (label, r) in &results {
         t.row(vec![
-            r.label.to_string(),
+            label.to_string(),
             format!("{:.1}", r.breakdown.intra_dc.avg_us),
             format!("{:.1}", r.breakdown.cross_dc.avg_us),
             format!("{:.1}", r.breakdown.intra_dc.p999_us),
@@ -98,14 +81,10 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let by = |label: &str| results.iter().find(|r| r.label == label).unwrap();
+    let by = |label: &str| &results.iter().find(|(l, _)| *l == label).unwrap().1;
     let full = by("MLCC (full)");
-    for r in &results {
-        assert_eq!(
-            r.flows_completed, r.flows_total,
-            "{} must complete",
-            r.label
-        );
+    for (label, r) in &results {
+        assert!(r.completed_all(), "{label} must complete");
     }
     // Each removed loop must cost something relative to the full design
     // on at least one of the headline metrics.

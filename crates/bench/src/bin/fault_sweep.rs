@@ -14,8 +14,8 @@
 //!
 //! `--smoke` runs a reduced grid with smaller transfers for CI.
 
-use mlcc_bench::scenarios::faults::{run_cell, FaultCell, FaultCellResult, PermFault};
-use mlcc_bench::scenarios::run_parallel;
+use mlcc_bench::scenarios::faults::{run_cell, FaultCell, PermFault};
+use mlcc_bench::scenarios::{run_parallel, RunSummary};
 use mlcc_bench::Algo;
 use netsim::units::{Time, US};
 use simstats::TextTable;
@@ -30,7 +30,7 @@ fn main() {
     let jitters: &[Time] = if smoke { &[0] } else { &[0, 20 * US] };
     let algos = [Algo::Mlcc, Algo::Dcqcn];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> FaultCellResult + Send>> = Vec::new();
+    let mut jobs: Vec<Box<dyn FnOnce() -> (FaultCell, RunSummary) + Send>> = Vec::new();
     for &algo in &algos {
         for &loss in losses {
             for &jitter in jitters {
@@ -39,7 +39,7 @@ fn main() {
                 } else {
                     FaultCell::sweep(algo, loss, jitter)
                 };
-                jobs.push(Box::new(move || run_cell(cell)));
+                jobs.push(Box::new(move || (cell, run_cell(cell))));
             }
         }
         // The unsurvivable column, one cell per permanent fault kind.
@@ -49,7 +49,7 @@ fn main() {
             } else {
                 FaultCell::sweep(algo, 0.0, 0).with_perm(perm)
             };
-            jobs.push(Box::new(move || run_cell(cell)));
+            jobs.push(Box::new(move || (cell, run_cell(cell))));
         }
     }
     let results = run_parallel(jobs);
@@ -70,14 +70,11 @@ fn main() {
         "fault drops",
         "retx",
     ]);
-    for r in &results {
-        let clean = results
+    for (cell, r) in &results {
+        let (_, clean) = results
             .iter()
-            .find(|c| {
-                c.cell.algo == r.cell.algo
-                    && c.cell.loss == 0.0
-                    && c.cell.jitter == 0
-                    && c.cell.perm == PermFault::None
+            .find(|(c, _)| {
+                c.algo == cell.algo && c.loss == 0.0 && c.jitter == 0 && c.perm == PermFault::None
             })
             .expect("clean cell present");
         let (cross, degr) = if r.breakdown.cross_dc.count > 0 {
@@ -90,10 +87,10 @@ fn main() {
             ("-".to_string(), "-".to_string())
         };
         t.row(vec![
-            r.cell.algo.name().to_string(),
-            format!("{:.2}%", r.cell.loss * 100.0),
-            format!("{:.0}", r.cell.jitter as f64 / US as f64),
-            r.cell.perm.label().to_string(),
+            cell.algo.name().to_string(),
+            format!("{:.2}%", cell.loss * 100.0),
+            format!("{:.0}", cell.jitter as f64 / US as f64),
+            cell.perm.label().to_string(),
             format!("{}/{}", r.flows_completed, r.flows_total),
             format!("{}", r.flows_failed),
             cross,
@@ -104,22 +101,22 @@ fn main() {
     }
     println!("{}", t.render());
 
-    for r in &results {
-        if r.cell.perm == PermFault::None {
+    for (cell, r) in &results {
+        if cell.perm == PermFault::None {
             assert!(
                 r.completed_all(),
                 "{} stranded {} of {} flows at loss {:.2}% jitter {} µs",
-                r.cell.algo.name(),
+                cell.algo.name(),
                 r.flows_total - r.flows_completed,
                 r.flows_total,
-                r.cell.loss * 100.0,
-                r.cell.jitter / US,
+                cell.loss * 100.0,
+                cell.jitter / US,
             );
-            if r.cell.loss > 0.0 {
+            if cell.loss > 0.0 {
                 assert!(
                     r.fault_drops > 0,
                     "lossy cell must actually lose packets ({})",
-                    r.cell.algo.name()
+                    cell.algo.name()
                 );
             }
         } else {
@@ -128,28 +125,28 @@ fn main() {
             assert!(
                 r.flows_failed > 0,
                 "{} {} cell failed nothing",
-                r.cell.algo.name(),
-                r.cell.perm.label()
+                cell.algo.name(),
+                cell.perm.label()
             );
             assert_eq!(
                 r.flows_completed + r.flows_failed,
                 r.flows_total,
                 "{} {} cell: completed + failed must cover every flow",
-                r.cell.algo.name(),
-                r.cell.perm.label()
+                cell.algo.name(),
+                cell.perm.label()
             );
             assert_eq!(
                 r.flows_hung,
                 0,
                 "{} {} cell left hung flows",
-                r.cell.algo.name(),
-                r.cell.perm.label()
+                cell.algo.name(),
+                cell.perm.label()
             );
         }
     }
     let n_perm = results
         .iter()
-        .filter(|r| r.cell.perm != PermFault::None)
+        .filter(|(cell, _)| cell.perm != PermFault::None)
         .count();
     println!(
         "SHAPE OK: 100% completion across {} recoverable cells (loss ≤ 1%, jitter ≤ {} µs) \

@@ -19,7 +19,7 @@ fn main() {
                 cfg = cfg.full();
             }
             cfg.long_haul_delay = MS;
-            jobs.push(move || (mix, run(algo, cfg)));
+            jobs.push(move || (mix, algo, run(algo, cfg)));
         }
     }
     let results = run_parallel(jobs);
@@ -30,12 +30,12 @@ fn main() {
             mix.name()
         );
         let mut t = TextTable::new(vec!["algorithm", "intra avg", "cross avg", "done"]);
-        for (m, r) in &results {
+        for (m, algo, r) in &results {
             if *m != mix {
                 continue;
             }
             t.row(vec![
-                r.algo.name().to_string(),
+                algo.name().to_string(),
                 format!("{:.1}", r.breakdown.intra_dc.avg_us),
                 format!("{:.1}", r.breakdown.cross_dc.avg_us),
                 format!("{}/{}", r.flows_completed, r.flows_total),
@@ -48,8 +48,8 @@ fn main() {
         let get = |a: Algo| {
             results
                 .iter()
-                .find(|(m, r)| *m == mix && r.algo == a)
-                .map(|(_, r)| r)
+                .find(|(m, x, _)| *m == mix && *x == a)
+                .map(|(_, _, r)| r)
                 .unwrap()
         };
         let mlcc = get(Algo::Mlcc);

@@ -17,15 +17,15 @@ fn main() {
     let results = run_parallel(
         [Algo::Dcqcn, Algo::Mlcc]
             .iter()
-            .map(|&a| move || run(a, load, duration, 11))
+            .map(|&a| move || (a, run(a, load, duration, 11)))
             .collect(),
     );
 
     println!("# Fig 16: dumbbell testbed, Hadoop mix at 40% load");
     let mut t = TextTable::new(vec!["algorithm", "overall avg (µs)", "p99.9 (µs)", "done"]);
-    for r in &results {
+    for (algo, r) in &results {
         t.row(vec![
-            r.algo.name().to_string(),
+            algo.name().to_string(),
             format!("{:.1}", r.breakdown.all.avg_us),
             format!("{:.1}", r.breakdown.all.p999_us),
             format!("{}/{}", r.flows_completed, r.flows_total),
@@ -33,8 +33,8 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let dcqcn = &results[0];
-    let mlcc = &results[1];
+    let dcqcn = &results[0].1;
+    let mlcc = &results[1].1;
     let gain = (1.0 - mlcc.breakdown.all.avg_us / dcqcn.breakdown.all.avg_us) * 100.0;
     println!("# MLCC improves the overall average FCT by {gain:+.1}% (paper: +19.3%)");
     assert_eq!(dcqcn.flows_completed, dcqcn.flows_total);

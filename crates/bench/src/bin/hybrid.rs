@@ -8,8 +8,8 @@
 //! * full MLCC.
 
 use cc_baselines::DcqcnFactory;
-use mlcc_bench::scenarios::large_scale::{run, run_custom, LargeScaleConfig, LargeScaleResult};
-use mlcc_bench::scenarios::run_parallel;
+use mlcc_bench::scenarios::large_scale::{run, run_custom, LargeScaleConfig};
+use mlcc_bench::scenarios::{run_parallel, RunSummary};
 use mlcc_bench::Algo;
 use mlcc_core::{HybridFactory, MlccParams};
 use netsim::config::DciFeatures;
@@ -18,12 +18,10 @@ use workload::TrafficMix;
 
 fn main() {
     let cfg = LargeScaleConfig::heavy(TrafficMix::Hadoop);
-    let jobs: Vec<Box<dyn FnOnce() -> LargeScaleResult + Send>> = vec![
-        Box::new(move || run(Algo::Dcqcn, cfg)),
+    let jobs: Vec<Box<dyn FnOnce() -> (&'static str, RunSummary) + Send>> = vec![
+        Box::new(move || ("DCQCN", run(Algo::Dcqcn, cfg))),
         Box::new(move || {
-            run_custom(
-                Algo::Dcqcn,
-                "DCQCN + MLCC loops",
+            let summary = run_custom(
                 Box::new(HybridFactory::new(
                     DcqcnFactory::default(),
                     MlccParams::default(),
@@ -35,9 +33,10 @@ fn main() {
                     ..DciFeatures::mlcc()
                 },
                 cfg,
-            )
+            );
+            ("DCQCN + MLCC loops", summary)
         }),
-        Box::new(move || run(Algo::Mlcc, cfg)),
+        Box::new(move || ("MLCC", run(Algo::Mlcc, cfg))),
     ];
     let results = run_parallel(jobs);
 
@@ -50,9 +49,9 @@ fn main() {
         "pfc",
         "done",
     ]);
-    for r in &results {
+    for (label, r) in &results {
         t.row(vec![
-            r.label.to_string(),
+            label.to_string(),
             format!("{:.1}", r.breakdown.intra_dc.avg_us),
             format!("{:.1}", r.breakdown.cross_dc.avg_us),
             format!("{:.1}", r.breakdown.cross_dc.p999_us),
@@ -62,11 +61,11 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let plain = &results[0];
-    let hybrid = &results[1];
-    let full = &results[2];
-    for r in &results {
-        assert_eq!(r.flows_completed, r.flows_total, "{} completes", r.label);
+    let plain = &results[0].1;
+    let hybrid = &results[1].1;
+    let full = &results[2].1;
+    for (label, r) in &results {
+        assert!(r.completed_all(), "{label} completes");
     }
     // The hybrid must not break DCQCN, and adding the loops should move
     // at least one headline metric toward full MLCC.

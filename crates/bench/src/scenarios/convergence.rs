@@ -37,6 +37,41 @@ pub enum Bottleneck {
     ReceiverSide,
 }
 
+/// The four-flow fabric for `bottleneck` (4 servers per leaf, one spine
+/// per DC) loaded into a simulator running `algo` under `cfg` — MLCC
+/// with `mlcc_params`. Returns the simulator, the four (source,
+/// destination) pairs and the receiver-side DCI egress links.
+fn setup(
+    algo: Algo,
+    mlcc_params: MlccParams,
+    bottleneck: Bottleneck,
+    cfg: SimConfig,
+) -> (Simulator, [(NodeId, NodeId); 4], Vec<LinkId>) {
+    let topo = TwoDcTopology::build(TwoDcParams {
+        servers_per_leaf: 4,
+        spines_per_dc: 1,
+        fabric_link: match bottleneck {
+            Bottleneck::SenderSide => 50 * GBPS,
+            Bottleneck::ReceiverSide => 100 * GBPS,
+        },
+        ..TwoDcParams::default()
+    });
+    let pairs = match bottleneck {
+        // 4 servers of rack 1 → 4 servers of rack 5.
+        Bottleneck::SenderSide => [0, 1, 2, 3].map(|i| (topo.server(1, i), topo.server(5, i))),
+        // rack1 s0,s1 → rack5 s0; rack2 s0,s1 → rack5 s1.
+        Bottleneck::ReceiverSide => [(1, 0, 0), (1, 1, 0), (2, 0, 1), (2, 1, 1)]
+            .map(|(rack, s, d)| (topo.server(rack, s), topo.server(5, d))),
+    };
+    let dci_links = topo.dci_to_spine[1].clone();
+    let factory = if algo == Algo::Mlcc {
+        Algo::mlcc_with(mlcc_params)
+    } else {
+        algo.factory()
+    };
+    (Simulator::new(topo.net, cfg, factory), pairs, dci_links)
+}
+
 /// Run the 4-flow convergence scenario.
 pub fn run(
     algo: Algo,
@@ -45,16 +80,6 @@ pub fn run(
     duration: Time,
     mlcc_params: MlccParams,
 ) -> ConvergenceResult {
-    let params = TwoDcParams {
-        servers_per_leaf: 4,
-        spines_per_dc: 1,
-        fabric_link: match bottleneck {
-            Bottleneck::SenderSide => 50 * GBPS,
-            Bottleneck::ReceiverSide => 100 * GBPS,
-        },
-        ..TwoDcParams::default()
-    };
-    let topo = TwoDcTopology::build(params);
     let cfg = SimConfig {
         stop_time: duration,
         monitor_interval: 50 * US,
@@ -62,47 +87,16 @@ pub fn run(
         seed: 1,
         ..SimConfig::default()
     };
-    let factory = if algo == Algo::Mlcc {
-        Algo::mlcc_with(mlcc_params)
-    } else {
-        algo.factory()
-    };
-    // Keep the topology handles; move the network into the simulator.
-    let dci_links = topo.dci_to_spine[1].clone();
-    let srcs: Vec<NodeId>;
-    let dsts: Vec<NodeId>;
-    match bottleneck {
-        Bottleneck::SenderSide => {
-            // 4 servers of rack 1 → 4 servers of rack 5.
-            srcs = (0..4).map(|i| topo.server(1, i)).collect();
-            dsts = (0..4).map(|i| topo.server(5, i)).collect();
-        }
-        Bottleneck::ReceiverSide => {
-            // rack1 s0,s1 → rack5 s0; rack2 s0,s1 → rack5 s1.
-            srcs = vec![
-                topo.server(1, 0),
-                topo.server(1, 1),
-                topo.server(2, 0),
-                topo.server(2, 1),
-            ];
-            dsts = vec![
-                topo.server(5, 0),
-                topo.server(5, 0),
-                topo.server(5, 1),
-                topo.server(5, 1),
-            ];
-        }
-    }
-    let mut sim = Simulator::new(topo.net, cfg, factory);
+    let (mut sim, pairs, dci_links) = setup(algo, mlcc_params, bottleneck, cfg);
     let mut flows = Vec::new();
-    for i in 0..4 {
+    for (i, (src, dst)) in pairs.into_iter().enumerate() {
         let start = if simultaneous {
             MS
         } else {
             MS + i as Time * 2 * MS
         };
         // Long-running flows: effectively infinite for the window.
-        flows.push(sim.add_flow(srcs[i], dsts[i], 4_000_000_000, start));
+        flows.push(sim.add_flow(src, dst, 4_000_000_000, start));
     }
     sim.set_monitor(MonitorSpec {
         queues: dci_links.clone(),
@@ -144,14 +138,8 @@ pub fn run(
 }
 
 /// Fig. 10 variant: finite staggered flows so the queue drains as they
-/// complete. Returns the DCI queue series and the completion times.
+/// complete. Returns the DCI queue series and how many flows completed.
 pub fn sequential_burst(algo: Algo, mlcc_params: MlccParams) -> (Vec<(Time, u64)>, usize) {
-    let params = TwoDcParams {
-        servers_per_leaf: 4,
-        spines_per_dc: 1,
-        ..TwoDcParams::default()
-    };
-    let topo = TwoDcTopology::build(params);
     let cfg = SimConfig {
         stop_time: 120 * MS,
         monitor_interval: 100 * US,
@@ -159,29 +147,11 @@ pub fn sequential_burst(algo: Algo, mlcc_params: MlccParams) -> (Vec<(Time, u64)
         seed: 2,
         ..SimConfig::default()
     };
-    let factory = if algo == Algo::Mlcc {
-        Algo::mlcc_with(mlcc_params)
-    } else {
-        algo.factory()
-    };
-    let dci_links = topo.dci_to_spine[1].clone();
-    let srcs = [
-        topo.server(1, 0),
-        topo.server(1, 1),
-        topo.server(2, 0),
-        topo.server(2, 1),
-    ];
-    let dsts = [
-        topo.server(5, 0),
-        topo.server(5, 0),
-        topo.server(5, 1),
-        topo.server(5, 1),
-    ];
-    let mut sim = Simulator::new(topo.net, cfg, factory);
-    for i in 0..4 {
+    let (mut sim, pairs, dci_links) = setup(algo, mlcc_params, Bottleneck::ReceiverSide, cfg);
+    for (i, (src, dst)) in pairs.into_iter().enumerate() {
         // 60 MB each, staggered 5 ms apart: later flows end later, so
         // the queue steps down as flows drain.
-        sim.add_flow(srcs[i], dsts[i], 60_000_000, MS + i as Time * 5 * MS);
+        sim.add_flow(src, dst, 60_000_000, MS + i as Time * 5 * MS);
     }
     sim.set_monitor(MonitorSpec {
         queues: dci_links,

@@ -11,8 +11,9 @@
 //! baselines alike.
 
 use netsim::prelude::*;
-use simstats::FctBreakdown;
+use workload::FlowRequest;
 
+use super::{run_flows, RunSummary};
 use crate::algo::Algo;
 
 /// A fault the fabric never heals from within the run — the column of
@@ -89,52 +90,32 @@ impl FaultCell {
     }
 }
 
-/// Outcome of one cell.
-pub struct FaultCellResult {
-    pub cell: FaultCell,
-    pub flows_total: usize,
-    pub flows_completed: usize,
-    /// Flows with a typed `Failed` verdict (permanent-failure cells).
-    pub flows_failed: usize,
-    /// Flows with *no* terminal verdict at the end of the run — a hung
-    /// flow; the termination guarantee says this is always zero.
-    pub flows_hung: usize,
-    pub breakdown: FctBreakdown,
-    pub fault_drops: u64,
-    pub retransmits: u64,
-    pub events: u64,
-    /// Total events scheduled (≥ `events`; the rest were pending at stop).
-    pub events_scheduled: u64,
-    /// High-water mark of the event queue.
-    pub peak_queue_depth: u64,
-}
-
-impl FaultCellResult {
-    pub fn completed_all(&self) -> bool {
-        self.flows_completed == self.flows_total
-    }
-}
-
 /// Run one cell on the dumbbell: `flows_per_side` cross-DC transfers in
 /// each direction, impairments on both long-haul directions.
-pub fn run_cell(cell: FaultCell) -> FaultCellResult {
-    let params = DumbbellParams::default();
-    let topo = DumbbellTopology::build(params);
+pub fn run_cell(cell: FaultCell) -> RunSummary {
     let degrading = cell.perm != PermFault::None;
-    let cfg = SimConfig {
-        // Generous ceiling: sustained 1% loss costs many backed-off RTO
-        // rounds, and a stranded flow should show up as an incomplete
-        // cell, not a hung benchmark.
-        stop_time: 20 * SEC,
-        dci: cell.algo.dci_features(),
-        seed: cell.seed,
-        // Permanent-failure cells arm the give-up policy (with the
-        // watchdog as backstop) so stranded flows fail in bounded time
-        // instead of spinning RTOs to the stop time.
-        giveup_rto_limit: if degrading { 5 } else { 0 },
-        watchdog_window: if degrading { 500 * MS } else { 0 },
-        ..SimConfig::default()
-    };
+    run_with(
+        cell,
+        SimConfig {
+            // Generous ceiling: sustained 1% loss costs many backed-off
+            // RTO rounds, and a stranded flow should show up as an
+            // incomplete cell, not a hung benchmark.
+            stop_time: 20 * SEC,
+            dci: cell.algo.dci_features(),
+            seed: cell.seed,
+            // Permanent-failure cells arm the give-up policy (with the
+            // watchdog as backstop) so stranded flows fail in bounded
+            // time instead of spinning RTOs to the stop time.
+            giveup_rto_limit: if degrading { 5 } else { 0 },
+            watchdog_window: if degrading { 500 * MS } else { 0 },
+            ..SimConfig::default()
+        },
+    )
+}
+
+/// [`run_cell`] under the simulator configuration `cfg`.
+fn run_with(cell: FaultCell, cfg: SimConfig) -> RunSummary {
+    let topo = DumbbellTopology::build(DumbbellParams::default());
     let mut sim = Simulator::new(topo.net, cfg, cell.algo.factory());
     let mut profile = FaultProfile::uniform_loss(cell.loss).with_jitter(cell.jitter);
     if cell.perm == PermFault::LinkCut {
@@ -152,32 +133,21 @@ pub fn run_cell(cell: FaultCell) -> FaultCellResult {
     if cell.perm == PermFault::HostCrash {
         sim.inject_node_fault(NodeFault::crash(topo.servers[1][0], 500 * US));
     }
-    let mut total = 0;
+    let mut flows = Vec::new();
     for side in 0..2 {
         let senders = &topo.servers[side];
         let receivers = &topo.servers[1 - side];
         for i in 0..cell.flows_per_side {
-            let src = senders[i % senders.len()];
-            let dst = receivers[i % receivers.len()];
-            // Light stagger so the batch is not a synchronized burst.
-            sim.add_flow(src, dst, cell.flow_bytes, (i as Time) * 100 * US);
-            total += 1;
+            flows.push(FlowRequest {
+                src: senders[i % senders.len()],
+                dst: receivers[i % receivers.len()],
+                size_bytes: cell.flow_bytes,
+                // Light stagger so the batch is not a synchronized burst.
+                start: (i as Time) * 100 * US,
+            });
         }
     }
-    sim.run_until_flows_complete();
-    FaultCellResult {
-        cell,
-        flows_total: total,
-        flows_completed: sim.out.fcts.len(),
-        flows_failed: sim.out.failed().count(),
-        flows_hung: total - sim.out.outcomes.len(),
-        breakdown: FctBreakdown::new(&sim.out.fcts),
-        fault_drops: sim.out.fault_drops,
-        retransmits: sim.out.retransmits,
-        events: sim.out.events_processed,
-        events_scheduled: sim.out.events_scheduled,
-        peak_queue_depth: sim.out.peak_queue_depth,
-    }
+    run_flows(sim, &flows)
 }
 
 #[cfg(test)]
@@ -198,6 +168,27 @@ mod tests {
         assert!(r.completed_all(), "{}/{}", r.flows_completed, r.flows_total);
         assert!(r.fault_drops > 0);
         assert!(r.retransmits > 0);
+    }
+
+    #[test]
+    fn stranded_flows_count_as_hung() {
+        // The link-cut cell with give-up and watchdog off (the
+        // default config arms neither): nothing ends the stranded flows
+        // before the stop time, so finalize fails every one of them as
+        // Unfinished — a hung flow.
+        let cell = FaultCell::smoke(Algo::Mlcc, 0.0, 0).with_perm(PermFault::LinkCut);
+        let r = run_with(
+            cell,
+            SimConfig {
+                stop_time: 200 * MS,
+                dci: cell.algo.dci_features(),
+                seed: cell.seed,
+                ..SimConfig::default()
+            },
+        );
+        assert_eq!(r.flows_completed, 0);
+        assert_eq!(r.flows_failed, 0, "no give-up or watchdog verdict");
+        assert_eq!(r.flows_hung, r.flows_total, "every stranded flow hangs");
     }
 
     #[test]

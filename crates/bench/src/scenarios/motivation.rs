@@ -40,17 +40,8 @@ fn avg_series(per_flow: &[Vec<(Time, f64)>]) -> Vec<(Time, f64)> {
         .collect()
 }
 
-fn build(
-    algo: Algo,
-    duration: Time,
-    servers_per_leaf: usize,
-    spines_per_dc: usize,
-) -> (TwoDcTopology, SimConfig) {
-    let topo = TwoDcTopology::build(TwoDcParams {
-        servers_per_leaf,
-        spines_per_dc,
-        ..TwoDcParams::default()
-    });
+fn build(algo: Algo, duration: Time, params: TwoDcParams) -> (TwoDcTopology, SimConfig) {
+    let topo = TwoDcTopology::build(params);
     let cfg = SimConfig {
         stop_time: duration,
         monitor_interval: 50 * US,
@@ -59,6 +50,22 @@ fn build(
         ..SimConfig::default()
     };
     (topo, cfg)
+}
+
+/// Watch `monitor` while running `sim` to its stop time. The eight
+/// monitored flows form two groups of four, averaged per group.
+fn finish(mut sim: Simulator, monitor: MonitorSpec) -> MotivationResult {
+    sim.set_monitor(monitor);
+    sim.run();
+    let per_flow: Vec<Vec<(Time, f64)>> =
+        (0..8).map(|i| sim.out.monitor.flow_throughput(i)).collect();
+    MotivationResult {
+        group_a_gbps: avg_series(&per_flow[..4]),
+        group_b_gbps: avg_series(&per_flow[4..]),
+        queue: sim.out.monitor.queue_sum_series(),
+        pfc_events: sim.out.pfc_events.clone(),
+        pfc_total: sim.total_pfc_pauses(),
+    }
 }
 
 /// Experiment 1 (Fig. 2): at 1 ms four Rack-5 servers send to four
@@ -76,19 +83,16 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
     // what lets DCQCN's control lag trigger receiver-DC PFC at all:
     // with the full 22 MB the post-PR-1 ECN calibration throttles the
     // senders before any ingress ever reaches Xoff.
-    let topo = TwoDcTopology::build(TwoDcParams {
-        servers_per_leaf: 4,
-        spines_per_dc: 2,
-        dc_switch_buffer: 2_750_000,
-        ..TwoDcParams::default()
-    });
-    let cfg = SimConfig {
-        stop_time: duration,
-        monitor_interval: 50 * US,
-        dci: algo.dci_features(),
-        seed: 1,
-        ..SimConfig::default()
-    };
+    let (topo, cfg) = build(
+        algo,
+        duration,
+        TwoDcParams {
+            servers_per_leaf: 4,
+            spines_per_dc: 2,
+            dc_switch_buffer: 2_750_000,
+            ..TwoDcParams::default()
+        },
+    );
     let receivers: Vec<NodeId> = (0..4).map(|i| topo.server(6, i)).collect();
     // Bottleneck: the Rack-6 leaf's downlinks to its servers.
     let leaf6 = topo.leaves[1][1];
@@ -101,33 +105,24 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
         .collect();
     let pfc_watch = vec![leaf6, topo.spines[1][0]];
     let mut sim = Simulator::new(topo.net, cfg, algo.factory());
-    let mut intra = Vec::new();
-    let mut cross = Vec::new();
+    // Intra-DC flows first (monitored group A), then the cross-DC ones.
+    let mut flows = Vec::new();
     for i in 0..4 {
-        intra.push(sim.add_flow(topo.servers[1][0][i], receivers[i], 2_000_000_000, MS));
+        flows.push(sim.add_flow(topo.servers[1][0][i], receivers[i], 2_000_000_000, MS));
     }
     for i in 0..4 {
-        cross.push(sim.add_flow(topo.servers[0][0][i], receivers[i], 2_000_000_000, 2 * MS));
+        flows.push(sim.add_flow(topo.servers[0][0][i], receivers[i], 2_000_000_000, 2 * MS));
     }
-    let mut flows = intra.clone();
-    flows.extend(&cross);
-    sim.set_monitor(MonitorSpec {
-        queues: down_links,
-        flows,
-        pfc_switches: pfc_watch,
-        pfq_link: None,
-        fault_links: Vec::new(),
-    });
-    sim.run();
-    let per_flow: Vec<Vec<(Time, f64)>> =
-        (0..8).map(|i| sim.out.monitor.flow_throughput(i)).collect();
-    MotivationResult {
-        group_a_gbps: avg_series(&per_flow[..4]),
-        group_b_gbps: avg_series(&per_flow[4..]),
-        queue: sim.out.monitor.queue_sum_series(),
-        pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
-    }
+    finish(
+        sim,
+        MonitorSpec {
+            queues: down_links,
+            flows,
+            pfc_switches: pfc_watch,
+            pfq_link: None,
+            fault_links: Vec::new(),
+        },
+    )
 }
 
 /// Experiment 2 (Fig. 3): at 1 ms four Rack-1 servers talk to Rack 2
@@ -138,7 +133,15 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
     // A single spine makes the Rack-1 uplink (100 Gbps) a genuine
     // 2:1-oversubscribed sender-side bottleneck for the 8 × 25 Gbps
     // flows, independent of ECMP hashing luck.
-    let (topo, cfg) = build(algo, duration, 8, 1);
+    let (topo, cfg) = build(
+        algo,
+        duration,
+        TwoDcParams {
+            servers_per_leaf: 8,
+            spines_per_dc: 1,
+            ..TwoDcParams::default()
+        },
+    );
     // Watch the rack-1 uplinks (the ECMP candidates toward the remote
     // DC are exactly the leaf→spine links).
     let leaf1 = topo.leaves[0][0];
@@ -148,10 +151,9 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
         .candidates(leaf1, topo.server(5, 0))
         .to_vec();
     let mut sim = Simulator::new(topo.net, cfg, algo.factory());
-    let mut intra = Vec::new();
-    let mut cross = Vec::new();
+    let mut flows = Vec::new();
     for i in 0..4 {
-        intra.push(sim.add_flow(
+        flows.push(sim.add_flow(
             topo.servers[0][0][i],
             topo.servers[0][1][i],
             2_000_000_000,
@@ -159,32 +161,23 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
         ));
     }
     for i in 0..4 {
-        cross.push(sim.add_flow(
+        flows.push(sim.add_flow(
             topo.servers[0][0][4 + i],
             topo.servers[1][0][i],
             2_000_000_000,
             2 * MS + i as Time * 500 * US,
         ));
     }
-    let mut flows = intra.clone();
-    flows.extend(&cross);
-    sim.set_monitor(MonitorSpec {
-        queues: up_links,
-        flows,
-        pfc_switches: vec![leaf1],
-        pfq_link: None,
-        fault_links: Vec::new(),
-    });
-    sim.run();
-    let per_flow: Vec<Vec<(Time, f64)>> =
-        (0..8).map(|i| sim.out.monitor.flow_throughput(i)).collect();
-    MotivationResult {
-        group_a_gbps: avg_series(&per_flow[..4]),
-        group_b_gbps: avg_series(&per_flow[4..]),
-        queue: sim.out.monitor.queue_sum_series(),
-        pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
-    }
+    finish(
+        sim,
+        MonitorSpec {
+            queues: up_links,
+            flows,
+            pfc_switches: vec![leaf1],
+            pfq_link: None,
+            fault_links: Vec::new(),
+        },
+    )
 }
 
 /// Experiment 3 (Fig. 4): eight cross-DC flows (four from Rack 1, four
@@ -193,7 +186,15 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
 /// receiver-side DCI switch, whose queue oscillates with the ECN duty
 /// cycle.
 pub fn experiment3(algo: Algo, duration: Time) -> MotivationResult {
-    let (topo, cfg) = build(algo, duration, 4, 2);
+    let (topo, cfg) = build(
+        algo,
+        duration,
+        TwoDcParams {
+            servers_per_leaf: 4,
+            spines_per_dc: 2,
+            ..TwoDcParams::default()
+        },
+    );
     let receiver = topo.server(6, 0);
     let dci_links = topo.dci_to_spine[1].clone();
     let mut sim = Simulator::new(topo.net, cfg, algo.factory());
@@ -204,21 +205,14 @@ pub fn experiment3(algo: Algo, duration: Time) -> MotivationResult {
     for i in 0..4 {
         flows.push(sim.add_flow(topo.servers[0][3][i], receiver, 2_000_000_000, MS));
     }
-    sim.set_monitor(MonitorSpec {
-        queues: dci_links.clone(),
-        flows,
-        pfc_switches: vec![topo.dcis[1]],
-        pfq_link: Some(dci_links[0]),
-        fault_links: Vec::new(),
-    });
-    sim.run();
-    let per_flow: Vec<Vec<(Time, f64)>> =
-        (0..8).map(|i| sim.out.monitor.flow_throughput(i)).collect();
-    MotivationResult {
-        group_a_gbps: avg_series(&per_flow[..4]),
-        group_b_gbps: avg_series(&per_flow[4..]),
-        queue: sim.out.monitor.queue_sum_series(),
-        pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
-    }
+    finish(
+        sim,
+        MonitorSpec {
+            queues: dci_links.clone(),
+            flows,
+            pfc_switches: vec![topo.dcis[1]],
+            pfq_link: Some(dci_links[0]),
+            fault_links: Vec::new(),
+        },
+    )
 }

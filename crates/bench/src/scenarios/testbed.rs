@@ -7,21 +7,13 @@
 //! is the DCQCN→MLCC average-FCT improvement.
 
 use netsim::prelude::*;
-use simstats::FctBreakdown;
-use workload::{TrafficClass, TrafficGen, TrafficMix};
+use workload::TrafficMix;
 
+use super::{run_flows, two_sided_requests, RunSummary};
 use crate::algo::Algo;
 
-/// Result of one dumbbell run.
-pub struct TestbedResult {
-    pub algo: Algo,
-    pub breakdown: FctBreakdown,
-    pub flows_total: usize,
-    pub flows_completed: usize,
-}
-
 /// Run the dumbbell testbed workload for one algorithm.
-pub fn run(algo: Algo, load: f64, duration: Time, seed: u64) -> TestbedResult {
+pub fn run(algo: Algo, load: f64, duration: Time, seed: u64) -> RunSummary {
     let params = DumbbellParams::default();
     let topo = DumbbellTopology::build(params);
     let cfg = SimConfig {
@@ -31,45 +23,16 @@ pub fn run(algo: Algo, load: f64, duration: Time, seed: u64) -> TestbedResult {
         seed,
         ..SimConfig::default()
     };
-    let mut gen = TrafficGen::new(seed, params.nic_link);
-    let mut requests = Vec::new();
-    // Intra-side pairs.
-    for side in 0..2 {
-        let servers = topo.servers[side].clone();
-        requests.extend(gen.generate(
-            &TrafficClass {
-                senders: servers.clone(),
-                receivers: servers,
-                load,
-                mix: TrafficMix::Hadoop,
-            },
-            0,
-            duration,
-        ));
-    }
     // Cross traffic, both directions, at half the intra load (the links
     // are all 100 Gbps here, so the per-sender definition is fine).
-    for (a, b) in [(0usize, 1usize), (1, 0)] {
-        requests.extend(gen.generate(
-            &TrafficClass {
-                senders: topo.servers[a].clone(),
-                receivers: topo.servers[b].clone(),
-                load: load / 2.0,
-                mix: TrafficMix::Hadoop,
-            },
-            0,
-            duration,
-        ));
-    }
-    let mut sim = Simulator::new(topo.net, cfg, algo.factory());
-    for r in &requests {
-        sim.add_flow(r.src, r.dst, r.size_bytes, r.start);
-    }
-    sim.run_until_flows_complete();
-    TestbedResult {
-        algo,
-        breakdown: FctBreakdown::new(&sim.out.fcts),
-        flows_total: requests.len(),
-        flows_completed: sim.out.fcts.len(),
-    }
+    let requests = two_sided_requests(
+        seed,
+        params.nic_link,
+        &[topo.servers[0].clone(), topo.servers[1].clone()],
+        load,
+        load / 2.0,
+        TrafficMix::Hadoop,
+        duration,
+    );
+    run_flows(Simulator::new(topo.net, cfg, algo.factory()), &requests)
 }

@@ -13,8 +13,8 @@
 //!
 //! * `tests/alloc_gate.rs` — proves the steady-state event loop
 //!   performs **zero** heap allocations once pools are warm;
-//! * the `engine_perf` bench binary — reports `peak_mem_bytes`
-//!   per scenario in `BENCH_netsim.json`.
+//! * the repository benchmark (`benchmark/`) — reports each
+//!   workload's `peak_heap_mb` and its `alloc.calls`.
 //!
 //! Counters are process-global; concurrent tests would interleave
 //! their counts, which is why the allocation gate lives in its own
