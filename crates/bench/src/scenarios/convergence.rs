@@ -101,9 +101,7 @@ pub fn run(
     sim.set_monitor(MonitorSpec {
         queues: dci_links.clone(),
         flows: flows.clone(),
-        pfc_switches: Vec::new(),
         pfq_link: Some(dci_links[0]),
-        fault_links: Vec::new(),
     });
     sim.run();
 
@@ -156,9 +154,7 @@ pub fn sequential_burst(algo: Algo, mlcc_params: MlccParams) -> (Vec<(Time, u64)
     sim.set_monitor(MonitorSpec {
         queues: dci_links,
         flows: Vec::new(),
-        pfc_switches: Vec::new(),
         pfq_link: None,
-        fault_links: Vec::new(),
     });
     sim.run_until_flows_complete();
     (sim.out.monitor.queue_sum_series(), sim.out.fcts.len())

@@ -95,7 +95,6 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
     );
     let receivers: Vec<NodeId> = (0..4).map(|i| topo.server(6, i)).collect();
     // Bottleneck: the Rack-6 leaf's downlinks to its servers.
-    let leaf6 = topo.leaves[1][1];
     let down_links: Vec<LinkId> = receivers
         .iter()
         .map(|&r| {
@@ -103,7 +102,6 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
             topo.net.links[host.uplink.index()].reverse
         })
         .collect();
-    let pfc_watch = vec![leaf6, topo.spines[1][0]];
     let mut sim = Simulator::new(topo.net, cfg, algo.factory());
     // Intra-DC flows first (monitored group A), then the cross-DC ones.
     let mut flows = Vec::new();
@@ -118,9 +116,7 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
         MonitorSpec {
             queues: down_links,
             flows,
-            pfc_switches: pfc_watch,
             pfq_link: None,
-            fault_links: Vec::new(),
         },
     )
 }
@@ -173,9 +169,7 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
         MonitorSpec {
             queues: up_links,
             flows,
-            pfc_switches: vec![leaf1],
             pfq_link: None,
-            fault_links: Vec::new(),
         },
     )
 }
@@ -210,9 +204,7 @@ pub fn experiment3(algo: Algo, duration: Time) -> MotivationResult {
         MonitorSpec {
             queues: dci_links.clone(),
             flows,
-            pfc_switches: vec![topo.dcis[1]],
             pfq_link: Some(dci_links[0]),
-            fault_links: Vec::new(),
         },
     )
 }

@@ -3,7 +3,7 @@
 
 use crate::topology::Network;
 use crate::types::{LinkId, NodeId};
-use crate::units::{Bandwidth, Time, GBPS, MS, US};
+use crate::units::{Time, MS};
 
 /// DCI-switch feature switches: the MLCC data-plane mechanisms. Baseline
 /// algorithms run with everything off (the DCI behaves as a plain
@@ -14,12 +14,6 @@ pub struct DciFeatures {
     pub pfq_enabled: bool,
     /// Sender-side Switch-INT near-source feedback.
     pub near_source_enabled: bool,
-    /// Minimum per-flow interval between Switch-INT feedback packets.
-    pub switch_int_min_interval: Time,
-    /// Initial dequeue rate for a newly created PFQ (§3.2.2: "the
-    /// receiver-side DCI-switch sends the flow into the receiver-side
-    /// datacenter using the initial rate").
-    pub pfq_init_rate: Bandwidth,
 }
 
 impl DciFeatures {
@@ -28,8 +22,6 @@ impl DciFeatures {
         DciFeatures {
             pfq_enabled: true,
             near_source_enabled: true,
-            switch_int_min_interval: 4 * US,
-            pfq_init_rate: 25 * GBPS,
         }
     }
 
@@ -38,8 +30,6 @@ impl DciFeatures {
         DciFeatures {
             pfq_enabled: false,
             near_source_enabled: false,
-            switch_int_min_interval: 4 * US,
-            pfq_init_rate: 25 * GBPS,
         }
     }
 }
@@ -299,8 +289,8 @@ mod tests {
     use crate::pfc::PfcConfig;
     use crate::sim::Simulator;
     use crate::switch::SwitchKind;
-    use crate::topology::NetBuilder;
-    use crate::units::US;
+    use crate::topology::{NetBuilder, TwoDcParams};
+    use crate::units::{Bandwidth, GBPS, US};
 
     /// Minimal valid h0 — s — h1 line, with hooks to break it.
     fn line(bandwidth: Bandwidth, ecn: Option<EcnConfig>) -> Network {
@@ -480,6 +470,6 @@ mod tests {
         assert!(!c.dci.pfq_enabled);
         let m = DciFeatures::mlcc();
         assert!(m.pfq_enabled && m.near_source_enabled);
-        assert_eq!(m.pfq_init_rate, 25 * GBPS);
+        assert_eq!(TwoDcParams::default().pfq_init_rate, 25 * GBPS);
     }
 }

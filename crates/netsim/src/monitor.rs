@@ -1,11 +1,11 @@
 //! Periodic measurement sampling.
 //!
 //! A monitor samples selected egress queue depths, per-flow receiver
-//! progress (for throughput), and cumulative PFC pause counts on a fixed
+//! progress (for throughput), and per-flow PFQ occupancy on a fixed
 //! interval. Figures 2–4 and 7–10 of the paper are time series produced
 //! by exactly these probes.
 
-use crate::types::{FlowId, LinkId, NodeId};
+use crate::types::{FlowId, LinkId};
 use crate::units::{rate_bps, Time};
 
 /// What to sample.
@@ -15,13 +15,8 @@ pub struct MonitorSpec {
     pub queues: Vec<LinkId>,
     /// Flows whose receiver-side progress to sample (for throughput).
     pub flows: Vec<FlowId>,
-    /// Switches whose cumulative PFC pause count to sample.
-    pub pfc_switches: Vec<NodeId>,
     /// Per-flow PFQ occupancy to sample at this DCI egress, if any.
     pub pfq_link: Option<LinkId>,
-    /// Fault-injected links whose cumulative fault-drop counters to
-    /// sample (time series around loss episodes and flap windows).
-    pub fault_links: Vec<LinkId>,
 }
 
 /// One sampling instant.
@@ -32,12 +27,8 @@ pub struct Sample {
     pub queue_bytes: Vec<u64>,
     /// Cumulative receiver bytes, aligned with `MonitorSpec::flows`.
     pub flow_rx_bytes: Vec<u64>,
-    /// Cumulative PFC pauses, aligned with `MonitorSpec::pfc_switches`.
-    pub pfc_pauses: Vec<u64>,
     /// (flow, queued bytes) pairs at the PFQ link, if sampled.
     pub pfq_per_flow: Vec<(FlowId, u64)>,
-    /// Cumulative fault drops, aligned with `MonitorSpec::fault_links`.
-    pub fault_drops: Vec<u64>,
 }
 
 /// Collected time series.
@@ -85,16 +76,6 @@ impl MonitorLog {
             .collect()
     }
 
-    /// PFC pause increments between samples for the i-th switch.
-    pub fn pfc_increments(&self, switch_idx: usize) -> Vec<(Time, u64)> {
-        let mut out = Vec::new();
-        for w in self.samples.windows(2) {
-            let d = w[1].pfc_pauses[switch_idx].saturating_sub(w[0].pfc_pauses[switch_idx]);
-            out.push((w[1].t, d));
-        }
-        out
-    }
-
     /// Peak of a queue series.
     pub fn queue_peak(&self, queue_idx: usize) -> u64 {
         self.samples
@@ -102,16 +83,6 @@ impl MonitorLog {
             .map(|s| s.queue_bytes[queue_idx])
             .max()
             .unwrap_or(0)
-    }
-
-    /// Fault-drop increments between samples for the i-th fault link.
-    pub fn fault_drop_increments(&self, link_idx: usize) -> Vec<(Time, u64)> {
-        let mut out = Vec::new();
-        for w in self.samples.windows(2) {
-            let d = w[1].fault_drops[link_idx].saturating_sub(w[0].fault_drops[link_idx]);
-            out.push((w[1].t, d));
-        }
-        out
     }
 }
 
@@ -125,30 +96,27 @@ mod tests {
             spec: MonitorSpec {
                 queues: vec![LinkId(0)],
                 flows: vec![FlowId(0)],
-                pfc_switches: vec![NodeId(0)],
                 ..MonitorSpec::default()
             },
             samples,
         }
     }
 
-    fn sample(t: Time, q: u64, rx: u64, pfc: u64) -> Sample {
+    fn sample(t: Time, q: u64, rx: u64) -> Sample {
         Sample {
             t,
             queue_bytes: vec![q],
             flow_rx_bytes: vec![rx],
-            pfc_pauses: vec![pfc],
             pfq_per_flow: Vec::new(),
-            fault_drops: Vec::new(),
         }
     }
 
     #[test]
     fn throughput_differentiation() {
         let log = log_with(vec![
-            sample(0, 0, 0, 0),
-            sample(1 * MS, 0, 125_000, 0), // 125 KB in 1 ms = 1 Gbps
-            sample(2 * MS, 0, 375_000, 0), // 250 KB in 1 ms = 2 Gbps
+            sample(0, 0, 0),
+            sample(1 * MS, 0, 125_000), // 125 KB in 1 ms = 1 Gbps
+            sample(2 * MS, 0, 375_000), // 250 KB in 1 ms = 2 Gbps
         ]);
         let th = log.flow_throughput(0);
         assert_eq!(th.len(), 2);
@@ -159,39 +127,12 @@ mod tests {
     #[test]
     fn queue_series_and_peak() {
         let log = log_with(vec![
-            sample(0, 10, 0, 0),
-            sample(SEC, 50, 0, 0),
-            sample(2 * SEC, 20, 0, 0),
+            sample(0, 10, 0),
+            sample(SEC, 50, 0),
+            sample(2 * SEC, 20, 0),
         ]);
         assert_eq!(log.queue_peak(0), 50);
         assert_eq!(log.queue_series(0)[1], (SEC, 50));
         assert_eq!(log.queue_sum_series()[2], (2 * SEC, 20));
-    }
-
-    #[test]
-    fn fault_drop_increments_from_cumulative() {
-        let mut log = MonitorLog::new(MonitorSpec {
-            fault_links: vec![LinkId(9)],
-            ..MonitorSpec::default()
-        });
-        for (t, d) in [(0, 0), (1, 2), (2, 2), (3, 10)] {
-            let mut s = sample(t, 0, 0, 0);
-            s.fault_drops = vec![d];
-            log.samples.push(s);
-        }
-        let inc = log.fault_drop_increments(0);
-        assert_eq!(inc.iter().map(|x| x.1).collect::<Vec<_>>(), vec![2, 0, 8]);
-    }
-
-    #[test]
-    fn pfc_increments_from_cumulative() {
-        let log = log_with(vec![
-            sample(0, 0, 0, 0),
-            sample(1, 0, 0, 3),
-            sample(2, 0, 0, 3),
-            sample(3, 0, 0, 7),
-        ]);
-        let inc = log.pfc_increments(0);
-        assert_eq!(inc.iter().map(|x| x.1).collect::<Vec<_>>(), vec![3, 0, 4]);
     }
 }

@@ -495,16 +495,7 @@ impl Simulator {
     /// crossing, and schedule the arrival under its content-derived key.
     pub fn deliver_boundary(&mut self, bp: crate::shard::BoundaryPacket) {
         self.pkt_pool.adopt(&bp.packet);
-        #[cfg(feature = "audit")]
-        self.audit.on_wire(bp.link, &bp.packet);
-        self.events.schedule_with_seq(
-            bp.at,
-            bp.seq,
-            Event::Arrival {
-                link: bp.link,
-                packet: bp.packet,
-            },
-        );
+        self.schedule_arrival(bp.at, Some(bp.seq), bp.link, bp.packet);
     }
 
     /// Hop-by-hop links a flow will take (ECMP-resolved).
@@ -885,20 +876,13 @@ impl Simulator {
                 self.try_start_tx(link);
             }
             Event::HostWake { node } => {
-                let uplink = {
-                    let h = self.nodes[node.index()].as_host_mut().expect("host");
-                    if h.wake_at == Some(t) {
-                        h.wake_at = None;
-                    }
-                    h.uplink
-                };
+                let h = self.nodes[node.index()].as_host_mut().expect("host");
+                h.wake_at.take_if(|w| *w == t);
+                let uplink = h.uplink;
                 self.try_start_tx(uplink);
             }
             Event::PfqWake { link } => {
-                let lk = &mut self.links[link.index()];
-                if lk.pfq_wake_at == Some(t) {
-                    lk.pfq_wake_at = None;
-                }
+                self.links[link.index()].pfq_wake_at.take_if(|w| *w == t);
                 self.try_start_tx(link);
             }
             Event::CcTimer { node, flow } => self.handle_cc_timer(node, flow),
@@ -1083,44 +1067,16 @@ impl Simulator {
             if let Some(s) = pkt.int.take() {
                 self.pkt_pool.put_int(s);
             }
-            let Some(egress) = self.routes.pick(node, pkt.dst, pkt.flow) else {
-                #[cfg(feature = "audit")]
-                self.audit_no_route(&pkt, node);
-                debug_assert!(false, "no route at DCI");
-                self.pkt_pool.put(pkt);
+            let Some((egress, pkt)) = self.admit(node, Some(in_link), pkt) else {
                 return;
             };
-            let size = pkt.size as u64;
-            {
-                let sw = self.nodes[node.index()].as_switch_mut().expect("switch");
-                if !sw.buffer.admit(size, true) {
-                    #[cfg(feature = "audit")]
-                    self.audit_on_buffer_drop(node, &pkt);
-                    self.record(TraceEvent::PacketDropped {
-                        flow: pkt.flow,
-                        at: node,
-                    });
-                    self.pkt_pool.put(pkt);
-                    return; // also counted by the buffer
-                }
-                let cap = sw.buffer.shared_capacity();
-                let used = sw.buffer.shared_used();
-                let pfc = sw.pfc;
-                // Ingress accounting kept symmetric with dequeue even
-                // though DCI PFC is disabled by default.
-                let act = sw
-                    .ingress
-                    .get_or_default(in_link)
-                    .on_enqueue(size, &pfc, cap, used, now);
-                debug_assert_eq!(act, PfcAction::None, "DCI PFC should stay off");
-                sw.dci
-                    .as_mut()
-                    .expect("dci role")
-                    .pfq_link
-                    .insert(pkt.flow, egress);
-            }
-            pkt.in_link = Some(in_link);
             let flow = pkt.flow;
+            self.nodes[node.index()]
+                .as_switch_mut()
+                .and_then(|sw| sw.dci.as_mut())
+                .expect("dci role")
+                .pfq_link
+                .insert(flow, egress);
             let created = self.links[egress.index()]
                 .pfq
                 .as_mut()
@@ -1170,43 +1126,10 @@ impl Simulator {
 
     /// Normal store-and-forward at a switch (also used for locally
     /// generated Switch-INT feedback, with `in_link = None`).
-    fn forward_from(&mut self, node: NodeId, in_link: Option<LinkId>, mut pkt: Box<Packet>) {
-        let now = self.now;
-        let Some(egress) = self.routes.pick(node, pkt.dst, pkt.flow) else {
-            #[cfg(feature = "audit")]
-            self.audit_no_route(&pkt, node);
-            debug_assert!(false, "no route {} → {}", node, pkt.dst);
-            self.pkt_pool.put(pkt);
+    fn forward_from(&mut self, node: NodeId, in_link: Option<LinkId>, pkt: Box<Packet>) {
+        let Some((egress, mut pkt)) = self.admit(node, in_link, pkt) else {
             return;
         };
-        let size = pkt.size as u64;
-        let droppable = pkt.is_data();
-        // Headroom charging is decided before admission: a data packet
-        // landing on an ingress that has paused its upstream is the
-        // in-flight tail of the pause loop and draws on the dedicated
-        // reservation (guaranteed admission) instead of the shared pool.
-        let charged_headroom = droppable
-            && in_link.is_some_and(|il| {
-                self.nodes[node.index()]
-                    .as_switch()
-                    .expect("switch")
-                    .charges_headroom(il, size)
-            });
-        {
-            let sw = self.nodes[node.index()].as_switch_mut().expect("switch");
-            if charged_headroom {
-                sw.buffer.admit_headroom(size);
-            } else if !sw.buffer.admit(size, droppable) {
-                #[cfg(feature = "audit")]
-                self.audit_on_buffer_drop(node, &pkt);
-                self.record(TraceEvent::PacketDropped {
-                    flow: pkt.flow,
-                    at: node,
-                });
-                self.pkt_pool.put(pkt);
-                return;
-            }
-        }
         if pkt.is_data() {
             // ECN at enqueue, on the egress data queue depth, with the
             // egress port's marking profile. The uniform sample is drawn
@@ -1220,278 +1143,110 @@ impl Simulator {
                 pkt.ecn = true;
                 self.out.ecn_marks += 1;
             }
-            // PFC ingress accounting. Headroom-charged bytes skip the
-            // threshold check: the ingress is already paused, and the
-            // charge must not re-trigger Pause or move the DT math.
-            if let Some(il) = in_link {
-                if charged_headroom {
-                    let sw = self.nodes[node.index()].as_switch_mut().expect("switch");
-                    sw.ingress.get_or_default(il).on_enqueue_headroom(size);
-                } else {
-                    let signal_delay = self.links[il.index()].delay;
-                    let act = {
-                        let sw = self.nodes[node.index()].as_switch_mut().expect("switch");
-                        let cap = sw.buffer.shared_capacity();
-                        let used = sw.buffer.shared_used();
-                        let pfc = sw.pfc;
-                        sw.ingress
-                            .get_or_default(il)
-                            .on_enqueue(size, &pfc, cap, used, now)
-                    };
-                    // Chaos shim (identity unless a fuzz test armed it).
-                    #[cfg(feature = "audit")]
-                    let act = self.audit.chaos_pfc_action(act);
-                    if act == PfcAction::Pause {
-                        self.out.pfc_events.push((now, node));
-                        self.record(TraceEvent::PfcPause {
-                            at: node,
-                            ingress: il,
-                        });
-                        self.events.schedule(
-                            now + signal_delay,
-                            Event::PfcUpdate {
-                                link: il,
-                                paused: true,
-                            },
-                        );
-                    }
-                }
-            }
         }
-        pkt.in_link = in_link;
         self.links[egress.index()].queues.enqueue(pkt);
         self.try_start_tx(egress);
     }
 
-    /// Try to start serializing the next packet on `l`.
-    fn try_start_tx(&mut self, l: LinkId) {
-        let now = self.now;
-        if self.links[l.index()].busy {
-            return;
+    /// Switch admission, shared by store-and-forward and the
+    /// receiver-DCI per-flow queues: route the packet, charge it to its
+    /// ingress's headroom or to the shared pool (dropping it when the
+    /// pool refuses), and run PFC ingress accounting. Returns the egress
+    /// and the packet, tagged with its ingress, unless it was dropped.
+    fn admit(
+        &mut self,
+        node: NodeId,
+        in_link: Option<LinkId>,
+        mut pkt: Box<Packet>,
+    ) -> Option<(LinkId, Box<Packet>)> {
+        let Some(egress) = self.routes.pick(node, pkt.dst, pkt.flow) else {
+            #[cfg(feature = "audit")]
+            self.audit_no_route(&pkt, node);
+            debug_assert!(false, "no route {} → {}", node, pkt.dst);
+            self.pkt_pool.put(pkt);
+            return None;
+        };
+        let size = pkt.size as u64;
+        let data_in = in_link.filter(|_| pkt.is_data());
+        let sw = self.nodes[node.index()].as_switch_mut().expect("switch");
+        // Headroom charging is decided before admission: a data packet
+        // landing on an ingress that has paused its upstream is the
+        // in-flight tail of the pause loop and draws on the dedicated
+        // reservation (guaranteed admission) instead of the shared pool.
+        let headroom = data_in.is_some_and(|il| sw.charges_headroom(il, size));
+        if headroom {
+            sw.buffer.admit_headroom(size);
+        } else if !sw.buffer.admit(size, pkt.is_data()) {
+            #[cfg(feature = "audit")]
+            self.audit_on_buffer_drop(node, &pkt);
+            self.record(TraceEvent::PacketDropped {
+                flow: pkt.flow,
+                at: node,
+            });
+            self.pkt_pool.put(pkt);
+            return None;
         }
+        pkt.in_link = in_link;
+        let Some(il) = data_in else {
+            return Some((egress, pkt));
+        };
+        // PFC ingress accounting. Headroom-charged bytes skip the
+        // threshold check: the ingress is already paused, and the charge
+        // must not re-trigger Pause or move the DT math.
+        let (cap, used) = (sw.buffer.shared_capacity(), sw.buffer.shared_used());
+        let ingress = sw.ingress.get_or_default(il);
+        if headroom {
+            ingress.on_enqueue_headroom(size);
+            return Some((egress, pkt));
+        }
+        let act = ingress.on_enqueue(size, &sw.pfc, cap, used, self.now);
+        // Chaos shim (identity unless a fuzz test armed it).
+        #[cfg(feature = "audit")]
+        let act = self.audit.chaos_pfc_action(act);
+        if act == PfcAction::Pause {
+            self.signal_pfc(node, il, true);
+        }
+        Some((egress, pkt))
+    }
+
+    /// Send a PFC Pause (`paused`) or Resume upstream from `node`'s
+    /// `ingress`: trace it (a Pause also joins `pfc_events`) and flip the
+    /// upstream egress's data class one link delay from now.
+    fn signal_pfc(&mut self, node: NodeId, ingress: LinkId, paused: bool) {
+        let now = self.now;
+        if paused {
+            self.out.pfc_events.push((now, node));
+            self.record(TraceEvent::PfcPause { at: node, ingress });
+        } else {
+            self.record(TraceEvent::PfcResume { at: node, ingress });
+        }
+        let at = now + self.links[ingress.index()].delay;
+        let update = Event::PfcUpdate {
+            link: ingress,
+            paused,
+        };
+        self.events.schedule(at, update);
+    }
+
+    /// Try to start serializing the next packet on `l`, in four stages:
+    /// pick it, stamp it, let a sender-side DCI strip its feedback, and
+    /// put it on the wire. The feedback is forwarded last.
+    fn try_start_tx(&mut self, l: LinkId) {
+        let src = self.links[l.index()].src;
         // A crashed node serializes nothing: its queues were drained at
         // crash time, its hosts generate nothing, and the restart event
         // kicks every egress back to life.
-        if self.node_is_down(self.links[l.index()].src, now) {
+        if self.links[l.index()].busy || self.node_is_down(src, self.now) {
             return;
         }
-        let data_paused = self.links[l.index()].queues.is_paused(Priority::Data);
-        let mut from_pfq = false;
-        let mut pkt = self.links[l.index()].queues.dequeue();
-        // MLCC per-flow queues (respect PFC pause on the data class).
-        if pkt.is_none() && !data_paused && self.links[l.index()].pfq.is_some() {
-            match self.links[l.index()].pfq.as_mut().unwrap().dequeue(now) {
-                PfqDequeue::Packet(p) => {
-                    pkt = Some(p);
-                    from_pfq = true;
-                }
-                PfqDequeue::NextAt(t) => {
-                    let lk = &mut self.links[l.index()];
-                    let need = lk.pfq_wake_at.is_none_or(|w| w <= now || w > t);
-                    if need {
-                        lk.pfq_wake_at = Some(t);
-                        self.events.schedule(t, Event::PfqWake { link: l });
-                    }
-                }
-                PfqDequeue::Empty => {}
-            }
-        }
-        // Host on-demand data generation.
-        if pkt.is_none() && !data_paused {
-            let src = self.links[l.index()].src;
-            if let Node::Host(h) = &mut self.nodes[src.index()] {
-                match h.next_data_packet(now, &mut self.pkt_pool) {
-                    HostTx::Packet(p) => {
-                        #[cfg(feature = "audit")]
-                        self.audit.on_born(&p);
-                        pkt = Some(p);
-                    }
-                    HostTx::WakeAt(t) => {
-                        let need = h.wake_at.is_none_or(|w| w <= now || w > t);
-                        if need {
-                            h.wake_at = Some(t);
-                            self.events.schedule(t, Event::HostWake { node: src });
-                        }
-                    }
-                    HostTx::Idle => {}
-                }
-            }
-        }
-        let Some(mut pkt) = pkt else {
+        let Some((mut pkt, from_pfq)) = self.next_packet(l) else {
             return;
         };
-
-        // Dequeue bookkeeping at switch egresses.
-        let src = self.links[l.index()].src;
         self.note_dequeue(src, pkt.size as u64, pkt.is_data(), pkt.in_link);
-
-        // INT insertion at serialization start. The hop is computed
-        // under a shared borrow of the link; the stack box (if the
-        // packet does not carry one yet) comes from the pool. A
-        // control-plane outage suppresses the insertion entirely — the
-        // PFQ credit stamp below is data-plane state and survives.
-        let dark = self.ctrl_dark(now);
-        {
-            let lk = &self.links[l.index()];
-            if pkt.is_data() && lk.opts.int_enabled {
-                if dark {
-                    self.out.int_suppressed += 1;
-                } else {
-                    let qlen = if from_pfq {
-                        lk.pfq
-                            .as_ref()
-                            .and_then(|p| p.get(pkt.flow))
-                            .map_or(0, |s| s.bytes())
-                    } else {
-                        lk.queues.bytes(Priority::Data)
-                    };
-                    let hop = IntHop {
-                        hop_id: lk.hop_id,
-                        ts: now,
-                        qlen_bytes: qlen,
-                        tx_bytes: lk.tx_bytes,
-                        link_bps: lk.bandwidth,
-                        is_dci: lk.opts.int_is_dci || from_pfq,
-                    };
-                    if pkt.int.is_none() {
-                        pkt.int = Some(self.pkt_pool.take_int());
-                    }
-                    pkt.int.as_mut().expect("just attached").push(hop);
-                }
-            }
-            if from_pfq {
-                // Algorithm 1: stamp the PFQ's credit C_D into the data.
-                pkt.mlcc
-                    .set_c_d(lk.pfq.as_ref().and_then(|p| p.c_d(pkt.flow)));
-            }
-        }
-
-        // Sender-side DCI near-source loop: strip INT onto a Switch-INT
-        // feedback packet as the data leaves the datacenter. Dark
-        // control plane: no feedback is generated and the pacing state
-        // is untouched — the switch's telemetry agent is down, not
-        // merely rate-limited.
-        let mut feedback: Option<Packet> = None;
-        if pkt.is_data() && self.cfg.dci.near_source_enabled {
-            let is_lh = self.nodes[src.index()]
-                .as_switch()
-                .is_some_and(|sw| sw.is_long_haul_egress(l));
-            if is_lh {
-                // Strip the stack by move: either it rides the feedback
-                // packet or its box goes straight back to the pool.
-                let stack = pkt.int.take();
-                if dark {
-                    self.out.int_suppressed += 1;
-                    if let Some(s) = stack {
-                        self.pkt_pool.put_int(s);
-                    }
-                } else {
-                    let due = self.nodes[src.index()]
-                        .as_switch_mut()
-                        .and_then(|sw| sw.dci.as_mut())
-                        .is_some_and(|d| d.switch_int_due(pkt.flow, now));
-                    if due {
-                        let id = self.pkt_pool.next_id();
-                        feedback = Some(Packet::switch_int(id, pkt.flow, src, pkt.src, stack));
-                    } else if let Some(s) = stack {
-                        self.pkt_pool.put_int(s);
-                    }
-                }
-            }
-        }
-
-        // Start serialization. The serializer always runs for the full
-        // wire time — fault injection decides what the far end sees.
-        let (ser, delay) = {
-            let lk = &mut self.links[l.index()];
-            lk.tx_bytes += pkt.size as u64;
-            lk.busy = true;
-            (lk.ser_time(pkt.size as u64), lk.delay)
-        };
-        self.events
-            .schedule(now + ser, Event::TxComplete { link: l });
-        let mut arrival_at = Some(now + ser + delay);
-        if let Some(fs) = self.links[l.index()].faults.as_mut() {
-            if fs.down {
-                // Black hole: data and control alike die on a dark wire.
-                fs.down_drop();
-                arrival_at = None;
-            } else if fs.loses(pkt.is_data()) {
-                arrival_at = None;
-            } else {
-                arrival_at = arrival_at.map(|t| fs.jittered_arrival(t));
-            }
-        }
-        match arrival_at {
-            Some(at) => {
-                // The packet keeps living in the same box it was born
-                // in: scheduling the arrival moves one pointer.
-                if self.links[l.index()].opts.long_haul {
-                    // Long-haul arrivals tie-break by (link, wire seq)
-                    // instead of insertion order, so the same-instant
-                    // order is a function of the packet itself and every
-                    // shard count reproduces it.
-                    let ws = {
-                        let lk = &mut self.links[l.index()];
-                        let s = lk.wire_seq;
-                        lk.wire_seq += 1;
-                        s
-                    };
-                    let key = boundary_seq(l, ws);
-                    let dst = self.links[l.index()].dst;
-                    if self.owns_node(dst) {
-                        #[cfg(feature = "audit")]
-                        self.audit.on_wire(l, &pkt);
-                        self.events.schedule_with_seq(
-                            at,
-                            key,
-                            Event::Arrival {
-                                link: l,
-                                packet: pkt,
-                            },
-                        );
-                    } else {
-                        // Cross-shard: hand the box to the destination
-                        // shard at the next barrier. The auditor's
-                        // on_wire fires at delivery in the owning shard
-                        // (outbox order preserves per-link FIFO), and
-                        // the pool's outstanding count transfers with
-                        // the box.
-                        self.pkt_pool.export(&pkt);
-                        self.shard
-                            .as_mut()
-                            .expect("non-owned link dst implies shard mode")
-                            .outbox
-                            .push(crate::shard::BoundaryPacket {
-                                at,
-                                link: l,
-                                seq: key,
-                                packet: pkt,
-                            });
-                    }
-                } else {
-                    #[cfg(feature = "audit")]
-                    self.audit.on_wire(l, &pkt);
-                    self.events.schedule(
-                        at,
-                        Event::Arrival {
-                            link: l,
-                            packet: pkt,
-                        },
-                    );
-                }
-            }
-            None => {
-                #[cfg(feature = "audit")]
-                self.audit.on_fault_drop(&pkt);
-                self.record(TraceEvent::PacketLost {
-                    flow: pkt.flow,
-                    link: l,
-                });
-                self.pkt_pool.put(pkt);
-            }
-        }
-
+        let dark = self.ctrl_dark(self.now);
+        self.stamp(l, &mut pkt, from_pfq, dark);
+        let feedback = self.near_source_feedback(l, &mut pkt, dark);
+        self.transmit(l, pkt);
         if let Some(fb) = feedback {
             let b = self.pkt_pool.boxed(fb);
             #[cfg(feature = "audit")]
@@ -1500,56 +1255,217 @@ impl Simulator {
         }
     }
 
-    /// Dequeue-side bookkeeping shared by the serializer and the crash
-    /// drain: release the shared buffer at a switch egress and run PFC
-    /// ingress accounting, scheduling the Resume toward the upstream
-    /// when the pause threshold clears.
-    fn note_dequeue(&mut self, src: NodeId, size: u64, is_data: bool, in_link: Option<LinkId>) {
+    /// Source selection: the egress FIFO first; then, unless PFC has
+    /// paused the data class, the link's per-flow queues and the source
+    /// host's on-demand data, each of which re-arms its wake-up when
+    /// nothing is eligible yet. The flag marks a PFQ departure.
+    fn next_packet(&mut self, l: LinkId) -> Option<(Box<Packet>, bool)> {
         let now = self.now;
-        let mut resume_on: Option<LinkId> = None;
-        if let Node::Switch(sw) = &mut self.nodes[src.index()] {
-            // Headroom drains first (the Broadcom MMU convention): the
-            // headroom-charged part of this departure is returned to the
-            // reservation, the rest to the shared pool.
-            let from_hr = if is_data {
-                in_link
-                    .and_then(|il| sw.ingress.get(il))
-                    .map_or(0, |st| st.hr_bytes.min(size))
-            } else {
-                0
-            };
-            sw.buffer.release(size);
-            if from_hr > 0 {
-                sw.buffer.release_headroom(from_hr);
-            }
-            if is_data {
-                if let Some(il) = in_link {
-                    let cap = sw.buffer.shared_capacity();
-                    let used = sw.buffer.shared_used();
-                    let pfc = sw.pfc;
-                    let act = sw
-                        .ingress
-                        .get_or_default(il)
-                        .on_dequeue(size, from_hr, &pfc, cap, used, now);
-                    if act == PfcAction::Resume {
-                        resume_on = Some(il);
-                    }
+        let lk = &mut self.links[l.index()];
+        if let Some(p) = lk.queues.dequeue() {
+            return Some((p, false));
+        }
+        if lk.queues.is_paused(Priority::Data) {
+            return None;
+        }
+        if let Some(pfq) = lk.pfq.as_mut() {
+            match pfq.dequeue(now) {
+                PfqDequeue::Packet(p) => return Some((p, true)),
+                PfqDequeue::NextAt(t) => {
+                    let wake = Event::PfqWake { link: l };
+                    rearm(&mut self.events, &mut lk.pfq_wake_at, now, t, wake);
                 }
+                PfqDequeue::Empty => {}
             }
         }
-        if let Some(il) = resume_on {
-            self.record(TraceEvent::PfcResume {
-                at: src,
-                ingress: il,
+        let src = lk.src;
+        let Node::Host(h) = &mut self.nodes[src.index()] else {
+            return None;
+        };
+        match h.next_data_packet(now, &mut self.pkt_pool) {
+            HostTx::Packet(p) => {
+                #[cfg(feature = "audit")]
+                self.audit.on_born(&p);
+                Some((p, false))
+            }
+            HostTx::WakeAt(t) => {
+                let wake = Event::HostWake { node: src };
+                rearm(&mut self.events, &mut h.wake_at, now, t, wake);
+                None
+            }
+            HostTx::Idle => None,
+        }
+    }
+
+    /// INT/credit stamping at serialization start: push this egress's
+    /// INT hop onto data, unless the control plane is dark, and stamp a
+    /// PFQ departure with its queue's credit C_D (Algorithm 1), which is
+    /// data-plane state and survives an outage.
+    fn stamp(&mut self, l: LinkId, pkt: &mut Packet, from_pfq: bool, dark: bool) {
+        let lk = &self.links[l.index()];
+        if pkt.is_data() && lk.opts.int_enabled {
+            if dark {
+                self.out.int_suppressed += 1;
+            } else {
+                let qlen = if from_pfq {
+                    lk.pfq
+                        .as_ref()
+                        .and_then(|p| p.get(pkt.flow))
+                        .map_or(0, |s| s.bytes())
+                } else {
+                    lk.queues.bytes(Priority::Data)
+                };
+                let hop = IntHop {
+                    hop_id: lk.hop_id,
+                    ts: self.now,
+                    qlen_bytes: qlen,
+                    tx_bytes: lk.tx_bytes,
+                    link_bps: lk.bandwidth,
+                    is_dci: lk.opts.int_is_dci || from_pfq,
+                };
+                let pool = &mut self.pkt_pool;
+                pkt.int.get_or_insert_with(|| pool.take_int()).push(hop);
+            }
+        }
+        if from_pfq {
+            pkt.mlcc
+                .set_c_d(lk.pfq.as_ref().and_then(|p| p.c_d(pkt.flow)));
+        }
+    }
+
+    /// Near-source feedback at the sender-side DCI (§3.2.1): data leaving
+    /// the datacenter has its INT stack stripped, and the stack rides a
+    /// Switch-INT packet back to the sender once the flow's feedback
+    /// interval has passed. A dark control plane generates nothing and
+    /// leaves the pacing state untouched: the switch's telemetry agent
+    /// is down, not merely rate-limited.
+    fn near_source_feedback(&mut self, l: LinkId, pkt: &mut Packet, dark: bool) -> Option<Packet> {
+        if !pkt.is_data() || !self.cfg.dci.near_source_enabled {
+            return None;
+        }
+        let (now, at) = (self.now, self.links[l.index()].src);
+        let sw = self.nodes[at.index()]
+            .as_switch_mut()
+            .filter(|sw| sw.is_long_haul_egress(l))?;
+        // Strip the stack by move: either it rides the feedback packet
+        // or its box goes straight back to the pool.
+        let stack = pkt.int.take();
+        let dci = sw.dci.as_mut().expect("a long-haul egress has a DCI role");
+        if dark {
+            self.out.int_suppressed += 1;
+        } else if dci.switch_int_due(pkt.flow, now) {
+            let id = self.pkt_pool.next_id();
+            return Some(Packet::switch_int(id, pkt.flow, at, pkt.src, stack));
+        }
+        if let Some(s) = stack {
+            self.pkt_pool.put_int(s);
+        }
+        None
+    }
+
+    /// Wire dispatch: the serializer runs for the packet's full wire
+    /// time, the link's faults decide what the far end sees, and a
+    /// surviving packet is scheduled to arrive, on this engine or, when
+    /// another shard owns the far end, through this shard's outbox.
+    fn transmit(&mut self, l: LinkId, pkt: Box<Packet>) {
+        let now = self.now;
+        let lk = &mut self.links[l.index()];
+        lk.tx_bytes += pkt.size as u64;
+        lk.busy = true;
+        let ser = lk.ser_time(pkt.size as u64);
+        self.events
+            .schedule(now + ser, Event::TxComplete { link: l });
+        let mut arrival = Some(now + ser + lk.delay);
+        if let Some(fs) = lk.faults.as_mut() {
+            if fs.down {
+                // Black hole: data and control alike die on a dark wire.
+                fs.down_drop();
+                arrival = None;
+            } else if fs.loses(pkt.is_data()) {
+                arrival = None;
+            } else {
+                arrival = arrival.map(|t| fs.jittered_arrival(t));
+            }
+        }
+        let Some(at) = arrival else {
+            #[cfg(feature = "audit")]
+            self.audit.on_fault_drop(&pkt);
+            self.record(TraceEvent::PacketLost {
+                flow: pkt.flow,
+                link: l,
             });
-            let d = self.links[il.index()].delay;
-            self.events.schedule(
-                now + d,
-                Event::PfcUpdate {
-                    link: il,
-                    paused: false,
-                },
-            );
+            self.pkt_pool.put(pkt);
+            return;
+        };
+        // Long-haul arrivals tie-break by (link, wire seq) instead of
+        // insertion order, so the same-instant order is a function of
+        // the packet itself and every shard count reproduces it.
+        let seq = lk.opts.long_haul.then(|| {
+            lk.wire_seq += 1;
+            boundary_seq(l, lk.wire_seq - 1)
+        });
+        let dst = lk.dst;
+        if self.owns_node(dst) {
+            self.schedule_arrival(at, seq, l, pkt);
+            return;
+        }
+        // Cross-shard: the destination shard adopts the box at the next
+        // barrier and schedules its arrival (outbox order preserves
+        // per-link FIFO); the pool's outstanding count moves with it.
+        self.pkt_pool.export(&pkt);
+        let shard = self
+            .shard
+            .as_mut()
+            .expect("non-owned link dst implies shard mode");
+        shard.outbox.push(crate::shard::BoundaryPacket {
+            at,
+            link: l,
+            seq: seq.expect("shard boundaries are long-haul links"),
+            packet: pkt,
+        });
+    }
+
+    /// Schedule a packet's arrival at the far end of `link`, under its
+    /// content-derived tie-break key when it crossed a long haul.
+    fn schedule_arrival(&mut self, at: Time, seq: Option<u64>, link: LinkId, packet: Box<Packet>) {
+        #[cfg(feature = "audit")]
+        self.audit.on_wire(link, &packet);
+        let ev = Event::Arrival { link, packet };
+        match seq {
+            Some(seq) => self.events.schedule_with_seq(at, seq, ev),
+            None => self.events.schedule(at, ev),
+        }
+    }
+
+    /// Dequeue-side bookkeeping shared by the serializer and the crash
+    /// drain: release the shared buffer at a switch egress and run PFC
+    /// ingress accounting, signalling Resume upstream when the pause
+    /// threshold clears.
+    fn note_dequeue(&mut self, src: NodeId, size: u64, is_data: bool, in_link: Option<LinkId>) {
+        let Some(sw) = self.nodes[src.index()].as_switch_mut() else {
+            return;
+        };
+        let data_in = in_link.filter(|_| is_data);
+        // Headroom drains first (the Broadcom MMU convention): the
+        // headroom-charged part of this departure is returned to the
+        // reservation, the rest to the shared pool.
+        let from_hr = data_in
+            .and_then(|il| sw.ingress.get(il))
+            .map_or(0, |st| st.hr_bytes.min(size));
+        sw.buffer.release(size);
+        if from_hr > 0 {
+            sw.buffer.release_headroom(from_hr);
+        }
+        let Some(il) = data_in else {
+            return;
+        };
+        let (cap, used) = (sw.buffer.shared_capacity(), sw.buffer.shared_used());
+        let act = sw
+            .ingress
+            .get_or_default(il)
+            .on_dequeue(size, from_hr, &sw.pfc, cap, used, self.now);
+        if act == PfcAction::Resume {
+            self.signal_pfc(src, il, false);
         }
     }
 
@@ -1629,15 +1545,11 @@ impl Simulator {
         // mid-push.
         let n_q = self.out.monitor.spec.queues.len();
         let n_f = self.out.monitor.spec.flows.len();
-        let n_p = self.out.monitor.spec.pfc_switches.len();
-        let n_fl = self.out.monitor.spec.fault_links.len();
         let mut s = Sample {
             t: now,
             queue_bytes: Vec::with_capacity(n_q),
             flow_rx_bytes: Vec::with_capacity(n_f),
-            pfc_pauses: Vec::with_capacity(n_p),
             pfq_per_flow: Vec::new(),
-            fault_drops: Vec::with_capacity(n_fl),
         };
         // Sample against the spec without holding a borrow on out.monitor.
         for i in 0..n_q {
@@ -1653,23 +1565,10 @@ impl Simulator {
                 .map_or(0, |r| r.expected);
             s.flow_rx_bytes.push(b);
         }
-        for i in 0..n_p {
-            let n = self.out.monitor.spec.pfc_switches[i];
-            s.pfc_pauses.push(
-                self.nodes[n.index()]
-                    .as_switch()
-                    .map_or(0, |sw| sw.pfc_pause_count()),
-            );
-        }
         if let Some(pl) = self.out.monitor.spec.pfq_link {
             if let Some(pfq) = self.links[pl.index()].pfq.as_ref() {
                 s.pfq_per_flow = pfq.per_flow_bytes().collect();
             }
-        }
-        for i in 0..n_fl {
-            let l = self.out.monitor.spec.fault_links[i];
-            s.fault_drops
-                .push(self.links[l.index()].faults.as_ref().map_or(0, |f| f.drops));
         }
         self.out.monitor.samples.push(s);
         let next = now + self.cfg.monitor_interval;
@@ -1707,6 +1606,16 @@ impl Simulator {
     /// The resolved path of a flow, if it has started.
     pub fn flow_path(&self, f: FlowId) -> Option<FlowPath> {
         self.paths.get(f.index()).copied().flatten()
+    }
+}
+
+/// The wake-up rule shared by the PFQ and host pacers: arm `slot` for
+/// `at` and schedule `wake`, unless a pending wake-up (one still in the
+/// future) already fires no later.
+fn rearm(events: &mut EventQueue, slot: &mut Option<Time>, now: Time, at: Time, wake: Event) {
+    if slot.is_none_or(|w| w <= now || w > at) {
+        *slot = Some(at);
+        events.schedule(at, wake);
     }
 }
 
@@ -1965,7 +1874,6 @@ mod tests {
         sim.set_monitor(crate::monitor::MonitorSpec {
             queues: vec![uplink],
             flows: vec![FlowId(0)],
-            pfc_switches: vec![NodeId(2)],
             ..crate::monitor::MonitorSpec::default()
         });
         sim.add_flow(NodeId(0), NodeId(1), 100_000, 0);

@@ -558,68 +558,16 @@ pub struct FatTreeTopology {
 impl FatTreeTopology {
     pub fn build(params: FatTreeParams) -> Self {
         params.validate();
-        let half = params.k / 2;
         let mut b = NetBuilder::new(params.mtu_payload);
-        let cores: Vec<NodeId> = (0..half * half)
-            .map(|_| b.add_switch(SwitchKind::Spine, params.switch_buffer, params.pfc))
-            .collect();
-        let mut hosts = Vec::new();
-        let mut edges = Vec::new();
-        let mut aggs = Vec::new();
-        let mut agg_core_links = Vec::new();
-        for _pod in 0..params.k {
-            let pod_aggs: Vec<NodeId> = (0..half)
-                .map(|_| b.add_switch(SwitchKind::Spine, params.switch_buffer, params.pfc))
-                .collect();
-            let pod_edges: Vec<NodeId> = (0..half)
-                .map(|_| b.add_switch(SwitchKind::Leaf, params.switch_buffer, params.pfc))
-                .collect();
-            for &edge in &pod_edges {
-                for _ in 0..params.hosts_per_edge {
-                    let h = b.add_host();
-                    b.connect(
-                        h,
-                        edge,
-                        params.host_link,
-                        params.host_delay,
-                        LinkOpts::default(),
-                    );
-                    hosts.push(h);
-                }
-                for &agg in &pod_aggs {
-                    b.connect(
-                        edge,
-                        agg,
-                        params.fabric_link,
-                        params.fabric_delay,
-                        LinkOpts::default(),
-                    );
-                }
-            }
-            // Agg j serves the core group [j·k/2, (j+1)·k/2).
-            for (j, &agg) in pod_aggs.iter().enumerate() {
-                for &core in &cores[j * half..(j + 1) * half] {
-                    let (up, down) = b.connect(
-                        agg,
-                        core,
-                        params.fabric_link,
-                        params.fabric_delay,
-                        LinkOpts::default(),
-                    );
-                    agg_core_links.push([up, down]);
-                }
-            }
-            edges.push(pod_edges);
-            aggs.push(pod_aggs);
-        }
+        let w = wire_fat_tree(&mut b, &params);
         FatTreeTopology {
             net: b.build(),
             params,
-            hosts,
-            edges,
-            aggs,
-            cores,
-            agg_core_links,
+            hosts: w.hosts,
+            edges: w.edges,
+            aggs: w.aggs,
+            cores: w.cores,
+            agg_core_links: w.agg_core_links,
         }
     }
 
@@ -632,6 +580,74 @@ impl FatTreeTopology {
             .flat_map(|(e, a)| e.iter().chain(a.iter()).copied())
             .collect()
     }
+}
+
+/// One fat-tree's nodes and agg ↔ core links, as [`wire_fat_tree`]
+/// added them to a builder.
+struct FatTreeWiring {
+    hosts: Vec<NodeId>,
+    edges: Vec<Vec<NodeId>>,
+    aggs: Vec<Vec<NodeId>>,
+    cores: Vec<NodeId>,
+    agg_core_links: Vec<[LinkId; 2]>,
+}
+
+/// Wire a k-ary fat-tree into `b`: the cores first, then per pod its
+/// aggs, its edges with their hosts and edge–agg links, and its agg–core
+/// links. [`FatTreeTopology`] and the fat-tree islands of
+/// [`MultiDcTopology`] both build through it.
+fn wire_fat_tree(b: &mut NetBuilder, p: &FatTreeParams) -> FatTreeWiring {
+    let half = p.k / 2;
+    let cores: Vec<NodeId> = (0..half * half)
+        .map(|_| b.add_switch(SwitchKind::Spine, p.switch_buffer, p.pfc))
+        .collect();
+    let mut w = FatTreeWiring {
+        hosts: Vec::new(),
+        edges: Vec::new(),
+        aggs: Vec::new(),
+        cores,
+        agg_core_links: Vec::new(),
+    };
+    for _pod in 0..p.k {
+        let pod_aggs: Vec<NodeId> = (0..half)
+            .map(|_| b.add_switch(SwitchKind::Spine, p.switch_buffer, p.pfc))
+            .collect();
+        let pod_edges: Vec<NodeId> = (0..half)
+            .map(|_| b.add_switch(SwitchKind::Leaf, p.switch_buffer, p.pfc))
+            .collect();
+        for &edge in &pod_edges {
+            for _ in 0..p.hosts_per_edge {
+                let h = b.add_host();
+                b.connect(h, edge, p.host_link, p.host_delay, LinkOpts::default());
+                w.hosts.push(h);
+            }
+            for &agg in &pod_aggs {
+                b.connect(
+                    edge,
+                    agg,
+                    p.fabric_link,
+                    p.fabric_delay,
+                    LinkOpts::default(),
+                );
+            }
+        }
+        // Agg j serves the core group [j·k/2, (j+1)·k/2).
+        for (j, &agg) in pod_aggs.iter().enumerate() {
+            for &core in &w.cores[j * half..(j + 1) * half] {
+                let (up, down) = b.connect(
+                    agg,
+                    core,
+                    p.fabric_link,
+                    p.fabric_delay,
+                    LinkOpts::default(),
+                );
+                w.agg_core_links.push([up, down]);
+            }
+        }
+        w.edges.push(pod_edges);
+        w.aggs.push(pod_aggs);
+    }
+    w
 }
 
 // ---------------------------------------------------------------------------
@@ -803,65 +819,27 @@ impl MultiDcTopology {
                     (isl_servers, switches, isl_spines)
                 }
                 IslandKind::FatTree { k, hosts_per_edge } => {
-                    // Reuse the standalone builder's shape by inlining
-                    // its wiring against the shared NetBuilder.
-                    let half = k / 2;
-                    let cores: Vec<NodeId> = (0..half * half)
-                        .map(|_| {
-                            b.add_switch(SwitchKind::Spine, params.dc_switch_buffer, params.pfc)
-                        })
+                    let island = FatTreeParams {
+                        k,
+                        hosts_per_edge,
+                        host_link: params.server_link,
+                        fabric_link: params.fabric_link,
+                        host_delay: params.server_delay,
+                        fabric_delay: params.fabric_delay,
+                        switch_buffer: params.dc_switch_buffer,
+                        pfc: params.pfc,
+                        mtu_payload: params.mtu_payload,
+                    };
+                    let w = wire_fat_tree(&mut b, &island);
+                    let mut switches: Vec<NodeId> = w
+                        .edges
+                        .iter()
+                        .zip(&w.aggs)
+                        .flat_map(|(e, a)| e.iter().chain(a))
+                        .copied()
                         .collect();
-                    let mut isl_servers = Vec::new();
-                    let mut switches = Vec::new();
-                    for _pod in 0..k {
-                        let pod_aggs: Vec<NodeId> = (0..half)
-                            .map(|_| {
-                                b.add_switch(SwitchKind::Spine, params.dc_switch_buffer, params.pfc)
-                            })
-                            .collect();
-                        let pod_edges: Vec<NodeId> = (0..half)
-                            .map(|_| {
-                                b.add_switch(SwitchKind::Leaf, params.dc_switch_buffer, params.pfc)
-                            })
-                            .collect();
-                        for &edge in &pod_edges {
-                            for _ in 0..hosts_per_edge {
-                                let h = b.add_host();
-                                b.connect(
-                                    h,
-                                    edge,
-                                    params.server_link,
-                                    params.server_delay,
-                                    LinkOpts::default(),
-                                );
-                                isl_servers.push(h);
-                            }
-                            for &agg in &pod_aggs {
-                                b.connect(
-                                    edge,
-                                    agg,
-                                    params.fabric_link,
-                                    params.fabric_delay,
-                                    LinkOpts::default(),
-                                );
-                            }
-                        }
-                        for (j, &agg) in pod_aggs.iter().enumerate() {
-                            for &core in &cores[j * half..(j + 1) * half] {
-                                b.connect(
-                                    agg,
-                                    core,
-                                    params.fabric_link,
-                                    params.fabric_delay,
-                                    LinkOpts::default(),
-                                );
-                            }
-                        }
-                        switches.extend(&pod_edges);
-                        switches.extend(&pod_aggs);
-                    }
-                    switches.extend(&cores);
-                    (isl_servers, switches, cores)
+                    switches.extend(&w.cores);
+                    (w.hosts, switches, w.cores)
                 }
             };
             // One DCI switch per peer island, attached to every top-tier

@@ -45,9 +45,7 @@ fn run(name: &str, factory: Box<dyn CcFactory>, dci: DciFeatures) -> (f64, f64, 
     sim.set_monitor(MonitorSpec {
         queues: Vec::new(),
         flows: flows.clone(),
-        pfc_switches: Vec::new(),
         pfq_link: None,
-        fault_links: Vec::new(),
     });
     sim.run();
     // Average per-flow goodput over the second half of the run.

@@ -43,9 +43,7 @@ fn run(params: MlccParams) -> (f64, f64) {
     sim.set_monitor(MonitorSpec {
         queues: dci_links,
         flows: Vec::new(),
-        pfc_switches: Vec::new(),
         pfq_link: None,
-        fault_links: Vec::new(),
     });
     sim.run();
     let series = sim.out.monitor.queue_sum_series();

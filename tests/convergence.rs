@@ -30,9 +30,7 @@ fn two_flow_share(factory: Box<dyn CcFactory>) -> (f64, f64) {
     sim.set_monitor(MonitorSpec {
         queues: Vec::new(),
         flows: vec![f0, f1],
-        pfc_switches: Vec::new(),
         pfq_link: None,
-        fault_links: Vec::new(),
     });
     sim.run();
     let rates: Vec<f64> = (0..2)

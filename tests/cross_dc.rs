@@ -105,9 +105,7 @@ fn mlcc_incast_keeps_dci_queue_bounded() {
     sim.set_monitor(MonitorSpec {
         queues: dci_links,
         flows: Vec::new(),
-        pfc_switches: Vec::new(),
         pfq_link: None,
-        fault_links: Vec::new(),
     });
     sim.run();
     let series = sim.out.monitor.queue_sum_series();
@@ -209,4 +207,34 @@ fn hybrid_dcqcn_under_mlcc_loops_completes() {
         .sum();
     assert!(pfq_bytes >= 3_000_000);
     assert_eq!(sim.out.buffer_drops, 0);
+}
+
+#[test]
+fn receiver_dci_pfq_overflow_drops_and_recovers() {
+    // Every DCI buffer in the paper's fabrics is 128 MB, so only a
+    // shrunken one reaches the receiver-side DCI's admission drop. At
+    // 24 KB the per-flow queues overflow under two 2 MB MLCC flows: the
+    // receiving DCI drops, and go-back-N still completes both flows.
+    let topo = DumbbellTopology::build(DumbbellParams {
+        dci_buffer: 24_000,
+        ..DumbbellParams::default()
+    });
+    let rx_dci = topo.dcis[1];
+    let cfg = SimConfig {
+        dci: DciFeatures::mlcc(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(topo.net, cfg, Box::new(MlccFactory::default()));
+    sim.enable_trace(1 << 16);
+    for i in 0..2 {
+        sim.add_flow(topo.servers[0][i], topo.servers[1][i], 2_000_000, 0);
+    }
+    assert!(sim.run_until_flows_complete(), "every flow must complete");
+    assert!(sim.out.buffer_drops > 0, "the DCI buffer must overflow");
+    let dropped_at_rx_dci = sim
+        .trace
+        .as_ref()
+        .unwrap()
+        .count(|e| matches!(e, TraceEvent::PacketDropped { at, .. } if *at == rx_dci));
+    assert!(dropped_at_rx_dci > 0, "no drop at the receiver-side DCI");
 }
