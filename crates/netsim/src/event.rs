@@ -2,11 +2,14 @@
 //!
 //! The scheduler is a hierarchical timing wheel (6 levels × 64 slots over
 //! the picosecond clock, with an overflow heap for events beyond the
-//! wheel's horizon). It preserves the exact total order of the original
-//! `BinaryHeap` implementation — (time, insertion sequence) — so golden
-//! replays stay bit-identical; see DESIGN.md §"Engine performance".
+//! wheel's horizon). Every pending event sits in one node of a recycled
+//! arena and each wheel slot is a list threaded through it, so the
+//! queue's storage follows the number of pending events. It preserves
+//! the exact total order of the original `BinaryHeap` implementation —
+//! (time, insertion sequence) — so golden replays stay bit-identical; see
+//! DESIGN.md §"Engine performance".
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::packet::Packet;
@@ -15,11 +18,11 @@ use crate::units::Time;
 
 /// Everything that can happen in the simulation.
 ///
-/// Packets ride boxed so the scheduled node stays small (~40 B): the wheel
-/// and heaps shuffle nodes around on every schedule/pop, and moving a full
-/// `Packet` (with its inline `IntStack`) through those sifts dominated the
-/// hot path. The box itself is recycled through `Simulator`'s packet pool,
-/// so steady-state scheduling still does no allocation.
+/// Packets ride boxed so the queue node stays small (40 B): moving a full
+/// `Packet` (with its inline `IntStack`) in and out of the queue on every
+/// schedule/pop dominated the hot path. The box itself is recycled
+/// through `Simulator`'s packet pool, so steady-state scheduling still
+/// does no allocation.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A flow's first byte becomes available at its sender.
@@ -52,47 +55,34 @@ pub enum Event {
     NodeFault { node: NodeId, down: bool },
 }
 
-/// A scheduled event. Ordering: time, then insertion sequence — two events
-/// at the same instant always fire in the order they were scheduled, which
-/// makes runs bit-for-bit reproducible.
-#[derive(Clone, Debug)]
-struct Scheduled {
+/// One arena node: a pending event with its `(at, seq)` key, or a free
+/// node (`event: None`). `next` links the node into its wheel slot's list
+/// or into the free list.
+struct Node {
     at: Time,
     seq: u64,
-    event: Event,
+    next: u32,
+    event: Option<Event>,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// A pending event's key and arena index, as kept in the ready run and
+/// the overflow heap. Ordering the tuple orders by `(at, seq)`: keys are
+/// unique, so the index never decides.
+type Entry = (Time, u64, u32);
 
-/// log2 of the wheel tick in picoseconds. One tick = 2^16 ps ≈ 65.5 ns,
-/// comfortably below a single-packet serialization time at 100 Gbps, so
-/// level-0 slots rarely hold more than a handful of events.
-const BASE_SHIFT: u32 = 16;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// log2 of the wheel tick in picoseconds. One tick = 2^14 ps ≈ 16.4 ns,
+/// a fraction of a single-packet serialization time at 100 Gbps, so the
+/// ready run sorted at each drained tick holds a handful of events.
+const BASE_SHIFT: u32 = 14;
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Wheel levels. Total span: 2^(6·6) ticks = 2^52 ps ≈ 75 minutes of
+/// Wheel levels. Total span: 2^(6·6) ticks = 2^50 ps ≈ 19 minutes of
 /// simulated time; anything further out waits in the overflow heap.
 const LEVELS: usize = 6;
 /// Bits of tick covered by the wheel; ticks differing from the cursor
@@ -117,11 +107,17 @@ pub fn boundary_seq(link: LinkId, wire_seq: u64) -> u64 {
     BOUNDARY_SEQ_BASE | ((link.0 as u64) << 40) | wire_seq
 }
 
-/// Deterministic event queue: hierarchical timing wheel + overflow heap.
+/// Deterministic event queue: hierarchical timing wheel + overflow heap
+/// over one node arena.
 ///
 /// Invariants (with `tick = at >> BASE_SHIFT`):
-/// * `ready` holds every pending event with `tick == ready_tick`, ordered
-///   by `(at, seq)`; events scheduled later into the current tick join it.
+/// * Every pending event is in exactly one live node of `nodes`, named by
+///   exactly one of: a wheel slot list, a `ready` entry, an `overflow`
+///   entry. Free nodes form the `free` list, so `nodes.len()` never
+///   exceeds the peak number of pending events.
+/// * `ready` holds every pending event with `tick == ready_tick`, sorted
+///   by `(at, seq)` descending (the next event is last); events scheduled
+///   later into the current tick are inserted in place.
 /// * The wheel holds events with `tick > ready_tick` whose tick shares the
 ///   cursor's top block (`tick >> WHEEL_BITS == elapsed >> WHEEL_BITS`);
 ///   `occupied` bitmaps mirror slot occupancy exactly.
@@ -131,17 +127,21 @@ pub fn boundary_seq(link: LinkId, wire_seq: u64) -> u64 {
 ///   live event shares the cursor's bits above `6·(l+1)` and sits at a
 ///   slot index ≥ the cursor's.
 pub struct EventQueue {
-    slots: Vec<Vec<Scheduled>>,
+    nodes: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Head node of each wheel slot's list, `LEVELS × SLOTS`.
+    heads: [u32; LEVELS * SLOTS],
     occupied: [u64; LEVELS],
     /// Current wheel tick: every event with an earlier tick has been
     /// drained into `ready` (and possibly popped).
     elapsed: u64,
-    /// Events of the tick currently being dispatched, earliest first.
-    ready: BinaryHeap<Scheduled>,
+    /// Events of the tick currently being dispatched, latest first.
+    ready: Vec<Entry>,
     /// The tick whose events `ready` is (or was last) serving.
     ready_tick: Option<u64>,
     /// Events beyond the wheel horizon, earliest first.
-    overflow: BinaryHeap<Scheduled>,
+    overflow: BinaryHeap<Reverse<Entry>>,
     /// Also the count of events ever scheduled (seq values are dense).
     next_seq: u64,
     /// Events scheduled with an explicit out-of-band sequence key (see
@@ -177,10 +177,12 @@ fn level_for(elapsed: u64, tick: u64) -> usize {
 impl EventQueue {
     pub fn new() -> Self {
         Self {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             elapsed: 0,
-            ready: BinaryHeap::new(),
+            ready: Vec::new(),
             ready_tick: None,
             overflow: BinaryHeap::new(),
             next_seq: 0,
@@ -190,19 +192,16 @@ impl EventQueue {
         }
     }
 
-    /// Pre-reserve `per_slot` entries in every wheel slot and the
-    /// ready/overflow heaps, so a steady-state workload whose per-slot
-    /// event density stays under `per_slot` never grows a slot `Vec`
-    /// mid-run. Used by allocation-budget tests; a no-op for capacity
-    /// already reserved.
-    pub fn prewarm(&mut self, per_slot: usize) {
-        for slot in &mut self.slots {
-            slot.reserve(per_slot.saturating_sub(slot.len()));
-        }
-        self.ready
-            .reserve(per_slot.saturating_sub(self.ready.len()));
+    /// Pre-reserve room for `pending` simultaneously pending events in
+    /// the node arena, the ready run and the overflow heap, so a workload
+    /// that never has more than `pending` events pending never grows the
+    /// queue mid-run. Used by allocation-budget tests; a no-op for
+    /// capacity already reserved.
+    pub fn prewarm(&mut self, pending: usize) {
+        self.nodes.reserve(pending.saturating_sub(self.nodes.len()));
+        self.ready.reserve(pending.saturating_sub(self.ready.len()));
         self.overflow
-            .reserve(per_slot.saturating_sub(self.overflow.len()));
+            .reserve(pending.saturating_sub(self.overflow.len()));
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -233,27 +232,56 @@ impl EventQueue {
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
-        let s = Scheduled { at, seq, event };
+        let idx = self.alloc(Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        });
         let tick = tick_of(at);
         // Events landing in the tick currently being dispatched (or
         // earlier — the sim never does that, but the contract allows it)
-        // join the ready heap so they still pop in (at, seq) order.
+        // join the ready run at their `(at, seq)` rank.
         if self.ready_tick.is_some_and(|rt| tick <= rt) {
-            self.ready.push(s);
+            let pos = self.ready.partition_point(|&(a, s, _)| (a, s) > (at, seq));
+            self.ready.insert(pos, (at, seq, idx));
             return;
         }
         debug_assert!(tick >= self.elapsed, "scheduling into a drained tick");
-        self.insert_wheel(s, tick);
+        self.insert_wheel(idx, tick);
     }
 
-    fn insert_wheel(&mut self, s: Scheduled, tick: u64) {
+    /// Store `node` in a recycled free node, or a new one when none is
+    /// free, and return its index.
+    fn alloc(&mut self, node: Node) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            let slot = &mut self.nodes[idx as usize];
+            self.free = slot.next;
+            *slot = node;
+            return idx;
+        }
+        let idx = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("more pending events than the arena can index");
+        self.nodes.push(node);
+        idx
+    }
+
+    /// Link node `idx` (whose event is at `tick`) into its wheel slot, or
+    /// into the overflow heap beyond the horizon.
+    fn insert_wheel(&mut self, idx: u32, tick: u64) {
         let level = level_for(self.elapsed, tick);
+        let node = &mut self.nodes[idx as usize];
         if level >= LEVELS {
-            self.overflow.push(s);
+            self.overflow.push(Reverse((node.at, node.seq, idx)));
             return;
         }
         let slot = ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push(s);
+        let head = &mut self.heads[level * SLOTS + slot];
+        node.next = *head;
+        *head = idx;
         self.occupied[level] |= 1 << slot;
     }
 
@@ -275,58 +303,57 @@ impl EventQueue {
     /// Ensure `ready` holds the earliest pending tick's events (if any
     /// events are pending at all).
     fn advance(&mut self) {
-        loop {
-            if !self.ready.is_empty() {
-                return;
-            }
+        while self.ready.is_empty() {
             // Pull overflow events whose top block has arrived into the
             // wheel. The overflow heap is (at, seq)-ordered, so events of
             // the current block drain before any later block's.
-            while let Some(s) = self.overflow.peek() {
-                let tick = tick_of(s.at);
+            while let Some(&Reverse((at, _, idx))) = self.overflow.peek() {
+                let tick = tick_of(at);
                 if tick >> WHEEL_BITS != self.elapsed >> WHEEL_BITS {
                     break;
                 }
-                let s = self.overflow.pop().expect("peeked");
-                self.insert_wheel(s, tick);
+                self.overflow.pop();
+                self.insert_wheel(idx, tick);
             }
             match self.next_occupied() {
                 Some((0, slot)) => {
-                    // The minimum tick: drain it into the ready heap.
+                    // The minimum tick: sort its list into the ready run.
                     self.occupied[0] &= !(1 << slot);
-                    let base = self.elapsed & !SLOT_MASK;
-                    let tick = base | slot as u64;
+                    let tick = (self.elapsed & !SLOT_MASK) | slot as u64;
                     self.elapsed = tick;
                     self.ready_tick = Some(tick);
-                    for s in self.slots[slot].drain(..) {
-                        debug_assert_eq!(tick_of(s.at), tick);
-                        self.ready.push(s);
+                    let mut i = std::mem::replace(&mut self.heads[slot], NIL);
+                    while i != NIL {
+                        let node = &self.nodes[i as usize];
+                        debug_assert_eq!(tick_of(node.at), tick);
+                        self.ready.push((node.at, node.seq, i));
+                        i = node.next;
                     }
-                    return;
+                    // Keys are unique, so the unstable sort is deterministic.
+                    self.ready.sort_unstable_by(|a, b| b.cmp(a));
                 }
                 Some((level, slot)) => {
                     // Cascade: move the cursor to the slot's first tick and
-                    // re-insert its events one level (or more) down.
+                    // relink its nodes one level (or more) down.
                     self.occupied[level] &= !(1 << slot);
                     let shift = SLOT_BITS * level as u32;
                     self.elapsed = (((self.elapsed >> (shift + SLOT_BITS)) << SLOT_BITS)
                         | slot as u64)
                         << shift;
-                    let idx = level * SLOTS + slot;
-                    let mut moved = std::mem::take(&mut self.slots[idx]);
-                    for s in moved.drain(..) {
-                        let tick = tick_of(s.at);
-                        self.insert_wheel(s, tick);
+                    let mut i = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
+                    while i != NIL {
+                        let node = &self.nodes[i as usize];
+                        let (next, tick) = (node.next, tick_of(node.at));
+                        self.insert_wheel(i, tick);
+                        i = next;
                     }
-                    // Hand the spare capacity back to the slot.
-                    self.slots[idx] = moved;
                 }
                 None => {
                     // Wheel empty: jump the cursor to the overflow's block.
-                    let Some(s) = self.overflow.peek() else {
+                    let Some(&Reverse((at, _, _))) = self.overflow.peek() else {
                         return;
                     };
-                    self.elapsed = (tick_of(s.at) >> WHEEL_BITS) << WHEEL_BITS;
+                    self.elapsed = (tick_of(at) >> WHEEL_BITS) << WHEEL_BITS;
                 }
             }
         }
@@ -335,9 +362,13 @@ impl EventQueue {
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         self.advance();
-        let s = self.ready.pop()?;
+        let (at, _, idx) = self.ready.pop()?;
         self.len -= 1;
-        Some((s.at, s.event))
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("a ready entry names a live node");
+        node.next = self.free;
+        self.free = idx;
+        Some((at, event))
     }
 
     /// Time of the earliest pending event. Takes `&mut self` because it
@@ -345,7 +376,7 @@ impl EventQueue {
     /// the queue exposes is unchanged by staging).
     pub fn peek_time(&mut self) -> Option<Time> {
         self.advance();
-        self.ready.peek().map(|s| s.at)
+        self.ready.last().map(|&(at, _, _)| at)
     }
 
     /// Total events ever scheduled. Sequence numbers are allocated densely
@@ -368,21 +399,15 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Visit every pending event (wheel slots, the staged ready heap,
-    /// and the overflow heap) in no particular order. The auditor's
-    /// drain-time census uses this to find in-flight `Arrival` packets.
+    /// Visit every pending event (the live arena nodes) in no particular
+    /// order. The auditor's drain-time census uses this to find in-flight
+    /// `Arrival` packets.
     #[cfg(feature = "audit")]
     pub fn for_each_pending(&self, mut f: impl FnMut(Time, &Event)) {
-        for slot in &self.slots {
-            for s in slot {
-                f(s.at, &s.event);
+        for node in &self.nodes {
+            if let Some(event) = &node.event {
+                f(node.at, event);
             }
-        }
-        for s in &self.ready {
-            f(s.at, &s.event);
-        }
-        for s in &self.overflow {
-            f(s.at, &s.event);
         }
     }
 }
@@ -498,7 +523,7 @@ mod tests {
 
     #[test]
     fn far_future_overflow_roundtrip() {
-        // Beyond the wheel horizon (2^52 ps) and back.
+        // Beyond the wheel horizon (2^50 ps) and back.
         let mut q = EventQueue::new();
         let far = 1u64 << 60;
         q.schedule(far + 5, Event::FlowStart(FlowId(1)));
@@ -514,10 +539,57 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.scheduled_total(), 3);
     }
+
+    /// Entries the queue keeps allocated: arena nodes, ready-run and
+    /// overflow-heap capacity.
+    fn retained(q: &EventQueue) -> usize {
+        q.nodes.capacity() + q.ready.capacity() + q.overflow.capacity()
+    }
+
+    #[test]
+    fn storage_follows_peak_pending_events() {
+        // A burst of BURST events at one tick ahead of the cursor, popped
+        // before the next burst, steps the cursor through every level-0
+        // slot and, at each 64-tick crossing, through a level-1 slot (and
+        // a level-2 slot at each 4096-tick crossing). Level-1 and level-2
+        // strides then land bursts directly in those levels' slots. A
+        // queue whose slots each kept their own high-water storage would
+        // retain about one burst per slot visited; this one must retain
+        // at most the arena and the ready run, each the peak rounded up
+        // to its `Vec`'s next doubling.
+        const BURST: u64 = 24;
+        let level1 = SLOTS as u64;
+        let level2 = level1 * level1;
+        let strides = std::iter::repeat_n(1, SLOTS * SLOTS)
+            .chain(std::iter::repeat_n(level1, SLOTS))
+            .chain((1..=8).map(|k| k * level2));
+        let mut q = EventQueue::new();
+        let mut now: Time = 0;
+        for stride in strides {
+            let at = ((tick_of(now) + stride) << BASE_SHIFT) + stride % 7;
+            for i in 0..BURST {
+                q.schedule(at + i, tick());
+            }
+            for _ in 0..BURST {
+                now = q.pop().expect("burst pending").0;
+            }
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.peak_len(), BURST as usize);
+        let bound = 2 * q.peak_len().next_power_of_two();
+        assert!(
+            retained(&q) <= bound,
+            "queue retains {} entries for a peak of {} pending events (bound {bound})",
+            retained(&q),
+            q.peak_len()
+        );
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use std::cmp::Ordering;
+
     use super::*;
     use crate::rng::{SimRng, Xoshiro256StarStar};
 
@@ -551,6 +623,37 @@ mod proptests {
         }
     }
 
+    /// A scheduled event. Ordering: time, then insertion sequence — two events
+    /// at the same instant always fire in the order they were scheduled, which
+    /// makes runs bit-for-bit reproducible.
+    #[derive(Clone, Debug)]
+    struct Scheduled {
+        at: Time,
+        seq: u64,
+        event: Event,
+    }
+
+    impl PartialEq for Scheduled {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for Scheduled {}
+    impl PartialOrd for Scheduled {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Scheduled {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we want earliest first.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
     /// Reference implementation: the original `BinaryHeap` scheduler, kept
     /// verbatim as the ordering oracle for the timing wheel.
     struct HeapOracle {
@@ -570,78 +673,11 @@ mod proptests {
             self.next_seq += 1;
             self.heap.push(Scheduled { at, seq, event });
         }
+        fn schedule_with_seq(&mut self, at: Time, seq: u64, event: Event) {
+            self.heap.push(Scheduled { at, seq, event });
+        }
         fn pop(&mut self) -> Option<(Time, Event)> {
             self.heap.pop().map(|s| (s.at, s.event))
-        }
-    }
-
-    /// Satellite: seeded-loop equivalence against the old heap order.
-    /// Random schedule/pop interleavings — same-time bursts, mid-dispatch
-    /// re-schedules, and far-future overflow times — must pop the
-    /// identical (time, event) sequence from both implementations.
-    #[test]
-    fn matches_binary_heap_oracle() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x0DD5EED);
-        for round in 0..48 {
-            let mut wheel = EventQueue::new();
-            let mut oracle = HeapOracle::new();
-            // `now` tracks the last popped time so we only ever schedule
-            // into the present or future, like the simulator does.
-            let mut now: Time = 0;
-            let mut next_id = 0u32;
-            let mut pending = 0i64;
-            let mut popped = 0u64;
-            for _ in 0..2_000 {
-                let do_pop = pending > 0 && rng.gen_range(0..100) < 45;
-                if do_pop {
-                    let a = wheel.pop().expect("wheel has pending events");
-                    let b = oracle.pop().expect("oracle has pending events");
-                    let (ta, ia) = (a.0, id_of(&a.1));
-                    let (tb, ib) = (b.0, id_of(&b.1));
-                    assert_eq!(
-                        (ta, ia),
-                        (tb, ib),
-                        "round {round}: wheel and heap diverged after {popped} pops"
-                    );
-                    now = ta;
-                    pending -= 1;
-                    popped += 1;
-                } else {
-                    // Mix of horizons: same-instant bursts, sub-tick
-                    // offsets, near future, and far-future overflow.
-                    let at = match rng.gen_range(0..10) {
-                        0 => now,
-                        1 | 2 => now + rng.gen_range(0..1 << BASE_SHIFT),
-                        3..=6 => now + rng.gen_range(0..1 << 24),
-                        7 | 8 => now + rng.gen_range(0..1 << 40),
-                        _ => now + (1 << 52) + rng.gen_range(0..1 << 40),
-                    };
-                    let burst = 1 + rng.gen_range(0..4);
-                    for _ in 0..burst {
-                        wheel.schedule(at, Event::FlowStart(FlowId(next_id)));
-                        oracle.schedule(at, Event::FlowStart(FlowId(next_id)));
-                        next_id += 1;
-                        pending += 1;
-                    }
-                }
-            }
-            // Drain both completely.
-            loop {
-                match (wheel.pop(), oracle.pop()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.0, id_of(&a.1)), (b.0, id_of(&b.1)));
-                        now = a.0;
-                    }
-                    (a, b) => panic!(
-                        "round {round}: one queue drained early (wheel={:?} oracle={:?})",
-                        a.map(|x| x.0),
-                        b.map(|x| x.0)
-                    ),
-                }
-            }
-            assert_eq!(wheel.scheduled_total(), oracle.next_seq);
-            let _ = now;
         }
     }
 
@@ -652,11 +688,147 @@ mod proptests {
         }
     }
 
+    /// Links whose wire sequences the boundary keys are drawn from.
+    const BOUNDARY_LINKS: usize = 4;
+
+    /// The queue under test and the oracle, fed the same schedules and
+    /// popped in lockstep. Events carry their schedule index as a
+    /// `FlowId`, so a pop compares (time, identity).
+    struct Lockstep {
+        wheel: EventQueue,
+        oracle: HeapOracle,
+        next_id: u32,
+        /// Next wire sequence per link, so boundary keys are unique as
+        /// the engine's are.
+        wire: [u64; BOUNDARY_LINKS],
+        pending: usize,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Self {
+                wheel: EventQueue::new(),
+                oracle: HeapOracle::new(),
+                next_id: 0,
+                wire: [0; BOUNDARY_LINKS],
+                pending: 0,
+            }
+        }
+
+        fn schedule(&mut self, at: Time, seq: Option<u64>) {
+            let ev = Event::FlowStart(FlowId(self.next_id));
+            match seq {
+                Some(seq) => {
+                    self.wheel.schedule_with_seq(at, seq, ev.clone());
+                    self.oracle.schedule_with_seq(at, seq, ev);
+                }
+                None => {
+                    self.wheel.schedule(at, ev.clone());
+                    self.oracle.schedule(at, ev);
+                }
+            }
+            self.next_id += 1;
+            self.pending += 1;
+        }
+
+        /// Schedule `n` events at the instant `at`. One burst in three
+        /// carries boundary keys from random links, scheduled in
+        /// descending key order (the reverse of their pop order), and
+        /// half of those are followed by an ordinary event at the same
+        /// instant, which pops before them although scheduled after.
+        fn burst(&mut self, rng: &mut Xoshiro256StarStar, at: Time, n: u64) {
+            if rng.gen_range(0..3) != 0 {
+                for _ in 0..n {
+                    self.schedule(at, None);
+                }
+                return;
+            }
+            let mut keys: Vec<u64> = (0..n)
+                .map(|_| {
+                    let link = rng.gen_range(0..BOUNDARY_LINKS as u64) as usize;
+                    self.wire[link] += 1;
+                    boundary_seq(LinkId(link as u32), self.wire[link])
+                })
+                .collect();
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            for seq in keys {
+                self.schedule(at, Some(seq));
+            }
+            if rng.gen_range(0..2) == 0 {
+                self.schedule(at, None);
+            }
+        }
+
+        /// Pop one event from each queue and check they agree.
+        fn pop(&mut self, round: usize) -> Time {
+            let a = self.wheel.pop().expect("wheel has pending events");
+            let b = self.oracle.pop().expect("oracle has pending events");
+            assert_eq!(
+                (a.0, id_of(&a.1)),
+                (b.0, id_of(&b.1)),
+                "round {round}: wheel and heap diverged with {} pending",
+                self.pending
+            );
+            self.pending -= 1;
+            a.0
+        }
+
+        /// Drain both queues completely, in lockstep.
+        fn drain(&mut self, round: usize) {
+            while self.pending > 0 {
+                self.pop(round);
+            }
+            assert!(
+                self.wheel.pop().is_none(),
+                "round {round}: wheel has extra events"
+            );
+            assert!(
+                self.oracle.pop().is_none(),
+                "round {round}: oracle has extra events"
+            );
+            assert_eq!(self.wheel.scheduled_total(), self.next_id as u64);
+        }
+    }
+
+    /// Seeded-loop equivalence against the old heap order.
+    /// Random schedule/pop interleavings — same-time bursts, boundary
+    /// keys, mid-dispatch re-schedules, and far-future overflow times —
+    /// must pop the identical (time, event) sequence from both
+    /// implementations.
+    #[test]
+    fn matches_binary_heap_oracle() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x0DD5EED);
+        for round in 0..48 {
+            let mut pair = Lockstep::new();
+            // `now` tracks the last popped time so we only ever schedule
+            // into the present or future, like the simulator does.
+            let mut now: Time = 0;
+            for _ in 0..2_000 {
+                if pair.pending > 0 && rng.gen_range(0..100) < 45 {
+                    now = pair.pop(round);
+                } else {
+                    // Mix of horizons: same-instant bursts, sub-tick
+                    // offsets, near future, and far-future overflow.
+                    let at = match rng.gen_range(0..10) {
+                        0 => now,
+                        1 | 2 => now + rng.gen_range(0..1 << BASE_SHIFT),
+                        3..=6 => now + rng.gen_range(0..1 << 24),
+                        7 | 8 => now + rng.gen_range(0..1 << 40),
+                        _ => now + HORIZON + rng.gen_range(0..1 << 40),
+                    };
+                    let n = 1 + rng.gen_range(0..4);
+                    pair.burst(&mut rng, at, n);
+                }
+            }
+            pair.drain(round);
+        }
+    }
+
     /// The wheel horizon in picoseconds: ticks differing from the cursor
     /// above this bound live in the overflow heap.
     const HORIZON: u64 = 1 << (BASE_SHIFT + WHEEL_BITS);
 
-    /// Satellite: the 2^52 ps overflow boundary, deterministically.
+    /// The 2^50 ps overflow boundary, deterministically.
     /// Events straddling the horizon — just inside the wheel, exactly at
     /// the boundary block, and beyond — plus same-tick bursts at each
     /// position must pop in exact (time, insertion-seq) order.
@@ -699,32 +871,21 @@ mod proptests {
         assert_eq!(q.scheduled_total(), 21);
     }
 
-    /// Satellite: seeded-loop property test hammering the overflow
-    /// boundary from a *moving* cursor. Times are clustered within a few
-    /// ticks of `now + 2^52` (so each schedule lands randomly on either
-    /// side of the wheel horizon as the cursor advances), mixed with
-    /// same-tick bursts and near-present events; the pop sequence must
-    /// match the binary-heap oracle exactly.
+    /// Seeded-loop property test hammering the overflow boundary from a
+    /// *moving* cursor. Times are clustered within a few ticks of
+    /// `now + HORIZON` (so each schedule lands randomly on either side of
+    /// the wheel horizon as the cursor advances), mixed with same-tick
+    /// and boundary-key bursts and near-present events; the pop sequence
+    /// must match the binary-heap oracle exactly.
     #[test]
     fn overflow_boundary_total_order_under_churn() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x0B0B_B0A2D);
         for round in 0..32 {
-            let mut wheel = EventQueue::new();
-            let mut oracle = HeapOracle::new();
+            let mut pair = Lockstep::new();
             let mut now: Time = 0;
-            let mut next_id = 0u32;
-            let mut pending = 0i64;
             for _ in 0..1_500 {
-                if pending > 0 && rng.gen_range(0..100) < 40 {
-                    let a = wheel.pop().expect("wheel has pending events");
-                    let b = oracle.pop().expect("oracle has pending events");
-                    assert_eq!(
-                        (a.0, id_of(&a.1)),
-                        (b.0, id_of(&b.1)),
-                        "round {round}: diverged at the overflow boundary"
-                    );
-                    now = a.0;
-                    pending -= 1;
+                if pair.pending > 0 && rng.gen_range(0..100) < 40 {
+                    now = pair.pop(round);
                 } else {
                     // ±2 ticks around the horizon measured from `now`,
                     // sub-tick offsets included, so events land just
@@ -737,29 +898,11 @@ mod proptests {
                     } else {
                         base.wrapping_add_signed(tick_jitter * (1 << BASE_SHIFT)) + sub
                     };
-                    let burst = 1 + rng.gen_range(0..3);
-                    for _ in 0..burst {
-                        wheel.schedule(at, Event::FlowStart(FlowId(next_id)));
-                        oracle.schedule(at, Event::FlowStart(FlowId(next_id)));
-                        next_id += 1;
-                        pending += 1;
-                    }
+                    let n = 1 + rng.gen_range(0..3);
+                    pair.burst(&mut rng, at, n);
                 }
             }
-            loop {
-                match (wheel.pop(), oracle.pop()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.0, id_of(&a.1)), (b.0, id_of(&b.1)));
-                    }
-                    (a, b) => panic!(
-                        "round {round}: one queue drained early \
-                         (wheel={:?} oracle={:?})",
-                        a.map(|x| x.0),
-                        b.map(|x| x.0)
-                    ),
-                }
-            }
+            pair.drain(round);
         }
     }
 }

@@ -285,21 +285,21 @@ impl Simulator {
     }
 
     /// Pre-provision the allocation-sensitive engine structures: spare
-    /// packet/INT boxes in the pool, wheel-slot and heap capacity in the
-    /// event queue, ring capacity in every per-egress priority queue
-    /// (`events_per_slot` per class bounds the worst single-egress
-    /// burst), and ring capacity in every per-flow queue that
-    /// already exists. Allocation-budget tests call this (optionally
+    /// packet/INT boxes in the pool, room for `pending_events` pending
+    /// events in the event queue, ring capacity in every per-egress
+    /// priority queue (`pending_events` per class also bounds the worst
+    /// single-egress burst), and ring capacity in every per-flow queue
+    /// that already exists. Allocation-budget tests call this (optionally
     /// after a warmup run has created the flows' PFQ state) so the
     /// measured steady-state window performs zero allocator calls.
     /// Purely a capacity hint: event order and results are unaffected.
-    pub fn prewarm(&mut self, n_packets: usize, n_stacks: usize, events_per_slot: usize) {
+    pub fn prewarm(&mut self, n_packets: usize, n_stacks: usize, pending_events: usize) {
         self.pkt_pool.prewarm(n_packets, n_stacks);
-        self.events.prewarm(events_per_slot);
+        self.events.prewarm(pending_events);
         #[cfg(feature = "audit")]
-        self.audit.prewarm(events_per_slot);
+        self.audit.prewarm(pending_events);
         for lk in &mut self.links {
-            lk.queues.reserve(events_per_slot);
+            lk.queues.reserve(pending_events);
             if let Some(pfq) = &mut lk.pfq {
                 pfq.reserve_queues(n_packets);
             }

@@ -35,15 +35,16 @@ const ENDLESS: u64 = 1 << 40;
 /// FIFO and per-flow queue, plus ACK/CNP/Switch-INT return streams.
 const POOL_PACKETS: usize = 32_768;
 const POOL_INT_STACKS: usize = 4_096;
-/// Event-queue wheel-slot reservation (dense slots double past this on
-/// their own during warmup).
-const EVENTS_PER_SLOT: usize = 512;
+/// Pending-event reserve for the event queue (its node arena doubles
+/// past this on its own during warmup).
+const PENDING_EVENTS: usize = 512;
 
 /// First warmup leg: starts all flows, fills the pipe, creates every
 /// per-flow DCI queue (so the second `prewarm` can reserve their rings).
 const WARMUP1_EVENTS: usize = 4_000_000;
 /// Second leg: lets the credit-loop backlog oscillation explore its
-/// high-water marks so every slot/ring capacity is final.
+/// high-water marks so the event arena and every ring reach their final
+/// capacity.
 const WARMUP2_EVENTS: usize = 6_000_000;
 
 /// Events measured with the allocator armed.
@@ -88,12 +89,12 @@ fn steady_state_event_loop_is_allocation_free() {
         sim.add_flow(src, dst, ENDLESS, 0);
     }
 
-    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, EVENTS_PER_SLOT);
+    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, PENDING_EVENTS);
     for _ in 0..WARMUP1_EVENTS {
         sim.step();
     }
     // The cross flows' per-flow DCI queues exist now; reserve their rings.
-    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, EVENTS_PER_SLOT);
+    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, PENDING_EVENTS);
     for _ in 0..WARMUP2_EVENTS {
         sim.step();
     }

@@ -38,13 +38,9 @@ const MEASURED_ITERS: usize = 3;
 
 const POOL_PACKETS: usize = 16_384;
 const POOL_INT_STACKS: usize = 2_048;
-/// Wheel-slot reserve. Which slot a tick maps to depends on the absolute
-/// time bits, so a slot that stayed small through warmup can become the
-/// hot one when a later barrier lands on a different alignment — the
-/// reserve must cover the worst single-slot burst, not the warmup
-/// high-water. 56 concurrent 100 KB flows keep ~1k tx/arrival events in
-/// flight; 2048 per slot bounds any alignment.
-const EVENTS_PER_SLOT: usize = 2_048;
+/// Pending-event reserve: 56 concurrent 100 KB flows keep ~1k
+/// tx/arrival events in flight, and 2048 covers them.
+const PENDING_EVENTS: usize = 2_048;
 
 #[test]
 fn lockstep_all_to_all_churn_is_fair_and_allocation_free() {
@@ -64,7 +60,7 @@ fn lockstep_all_to_all_churn_is_fair_and_allocation_free() {
     // window; reserve the whole run's worth up front.
     let total = (WARMUP_ITERS + MEASURED_ITERS) * FLOWS_PER_ITER;
     sim.out.fcts.reserve(total);
-    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, EVENTS_PER_SLOT);
+    sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, PENDING_EVENTS);
 
     // Checked once up front: `var_os` allocates when the variable is
     // set, which would poison the per-iteration deltas.
@@ -87,7 +83,7 @@ fn lockstep_all_to_all_churn_is_fair_and_allocation_free() {
         // window, then re-reserve whatever the warmup iterations grew.
         sim.run_window(barrier + 1);
         if iter == WARMUP_ITERS {
-            sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, EVENTS_PER_SLOT);
+            sim.prewarm(POOL_PACKETS, POOL_INT_STACKS, PENDING_EVENTS);
         }
 
         let armed = iter >= WARMUP_ITERS;
