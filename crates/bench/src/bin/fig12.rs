@@ -1,69 +1,37 @@
 //! Fig. 12 — light-load large-scale simulation (30% intra + 10% cross):
 //! average FCT per class for the five algorithms and both mixes.
 
-use mlcc_bench::scenarios::large_scale::{run, LargeScaleConfig};
-use mlcc_bench::scenarios::run_parallel;
+use mlcc_bench::scenarios::large_scale::{LargeScaleConfig, MixGrid};
 use mlcc_bench::Algo;
-use simstats::TextTable;
 use workload::TrafficMix;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let mut jobs = Vec::new();
-    for mix in TrafficMix::ALL {
-        for algo in Algo::ALL {
-            let cfg = if full {
-                LargeScaleConfig::light(mix).full()
-            } else {
-                LargeScaleConfig::light(mix)
-            };
-            jobs.push(move || (mix, algo, run(algo, cfg)));
+    let grid = MixGrid::run(|mix| {
+        let cfg = LargeScaleConfig::light(mix);
+        if full {
+            cfg.full()
+        } else {
+            cfg
         }
-    }
-    let results = run_parallel(jobs);
+    });
 
     for mix in TrafficMix::ALL {
         println!("# Fig 12 ({} + light load): average FCT (µs)", mix.name());
-        let mut t = TextTable::new(vec!["algorithm", "intra avg", "cross avg", "done"]);
-        for (m, algo, r) in &results {
-            if *m != mix {
-                continue;
-            }
-            t.row(vec![
-                algo.name().to_string(),
-                format!("{:.1}", r.breakdown.intra_dc.avg_us),
-                format!("{:.1}", r.breakdown.cross_dc.avg_us),
-                format!("{}/{}", r.flows_completed, r.flows_total),
-            ]);
-        }
-        println!("{}", t.render());
+        println!("{}", grid.avg_table(mix).render());
     }
 
     for mix in TrafficMix::ALL {
-        let get = |a: Algo| {
-            results
-                .iter()
-                .find(|(m, x, _)| *m == mix && *x == a)
-                .map(|(_, _, r)| r)
-                .unwrap()
-        };
-        let mlcc = get(Algo::Mlcc);
+        let mlcc = grid.get(mix, Algo::Mlcc);
         for b in Algo::BASELINES {
-            let base = get(b);
-            println!(
-                "# MLCC vs {} ({}): intra {:+.1}%  cross {:+.1}%",
-                b.name(),
-                mix.name(),
-                (1.0 - mlcc.breakdown.intra_dc.avg_us / base.breakdown.intra_dc.avg_us) * 100.0,
-                (1.0 - mlcc.breakdown.cross_dc.avg_us / base.breakdown.cross_dc.avg_us) * 100.0,
-            );
+            println!("{}", grid.vs_line(mix, b));
             // Strict wins against the ECN/RTT baselines; parity band
             // against HPCC, whose window control is already near-optimal
             // for the tiny-flow Hadoop mix at light load (the paper's
             // 27% gap there is its least robust number).
             let slack = if b == Algo::Hpcc { 1.05 } else { 1.0 };
             assert!(
-                mlcc.breakdown.intra_dc.avg_us < slack * base.breakdown.intra_dc.avg_us,
+                mlcc.breakdown.intra_dc.avg_us < slack * grid.get(mix, b).breakdown.intra_dc.avg_us,
                 "{}: MLCC must not lose to {} on intra-DC avg FCT under light load",
                 mix.name(),
                 b.name()

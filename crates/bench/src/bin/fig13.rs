@@ -6,58 +6,24 @@
 //! largest flows (its proactive derating trades elephant throughput for
 //! mixed-traffic fairness).
 
-use mlcc_bench::scenarios::large_scale::{run, LargeScaleConfig};
-use mlcc_bench::scenarios::run_parallel;
+use mlcc_bench::scenarios::large_scale::{run_algos, tail_by_size, LargeScaleConfig};
 use mlcc_bench::Algo;
-use simstats::TextTable;
 use workload::TrafficMix;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let results = run_parallel(
-        Algo::ALL
-            .iter()
-            .map(|&algo| {
-                move || {
-                    let mut cfg = LargeScaleConfig::heavy(TrafficMix::WebSearch);
-                    if full {
-                        cfg = cfg.full();
-                    }
-                    // Tail percentiles need more samples.
-                    cfg.duration *= 2;
-                    (algo, run(algo, cfg))
-                }
-            })
-            .collect(),
-    );
+    let mut cfg = LargeScaleConfig::heavy(TrafficMix::WebSearch);
+    if full {
+        cfg = cfg.full();
+    }
+    // Tail percentiles need more samples.
+    cfg.duration *= 2;
+    let results = run_algos(cfg);
 
-    for (class, pick) in [("intra-DC", 0usize), ("cross-DC", 1usize)] {
+    for (class, t) in tail_by_size(&results) {
         println!(
             "# Fig 13 ({class}): 99.9th percentile FCT (µs) by flow size, WebSearch heavy load"
         );
-        let mut headers = vec!["algorithm".to_string()];
-        headers.extend(
-            simstats::SIZE_BUCKETS
-                .iter()
-                .map(|&(_, label)| label.to_string()),
-        );
-        let mut t = TextTable::new(headers);
-        for (algo, r) in &results {
-            let buckets = if pick == 0 {
-                &r.breakdown.intra_by_size
-            } else {
-                &r.breakdown.cross_by_size
-            };
-            let mut row = vec![algo.name().to_string()];
-            row.extend(buckets.iter().map(|&(_, p, n)| {
-                if n == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{p:.0} ({n})")
-                }
-            }));
-            t.row(row);
-        }
         println!("{}", t.render());
     }
 

@@ -7,9 +7,10 @@
 //! single 100 Gbps interconnect).
 
 use netsim::prelude::*;
+use simstats::{TextTable, SIZE_BUCKETS};
 use workload::TrafficMix;
 
-use super::{run_flows, two_sided_requests, RunSummary};
+use super::{run_flows, run_parallel, two_sided_requests, RunSummary};
 use crate::algo::Algo;
 
 /// Configuration of one large-scale run.
@@ -102,4 +103,110 @@ pub fn run_custom(
         cfg.duration,
     );
     run_flows(Simulator::new(topo.net, sim_cfg, factory), &requests)
+}
+
+/// Every algorithm on every mix (`TrafficMix::ALL × Algo::ALL`), the
+/// job grid of Figs. 11, 12 and 15.
+pub struct MixGrid(Vec<(TrafficMix, Algo, RunSummary)>);
+
+impl MixGrid {
+    /// Run the grid in parallel, configuring each cell by its mix.
+    pub fn run(cfg: impl Fn(TrafficMix) -> LargeScaleConfig) -> Self {
+        let mut jobs = Vec::new();
+        for mix in TrafficMix::ALL {
+            for algo in Algo::ALL {
+                let c = cfg(mix);
+                jobs.push(move || (mix, algo, run(algo, c)));
+            }
+        }
+        MixGrid(run_parallel(jobs))
+    }
+
+    /// The run of `algo` on `mix`.
+    pub fn get(&self, mix: TrafficMix, algo: Algo) -> &RunSummary {
+        let cell = self.0.iter().find(|(m, a, _)| *m == mix && *a == algo);
+        &cell.expect("the grid covers every cell").2
+    }
+
+    /// One row per algorithm on `mix`, in `Algo::ALL` order: its name,
+    /// then `cells` of its run.
+    pub fn table(
+        &self,
+        mix: TrafficMix,
+        headers: Vec<&str>,
+        cells: impl Fn(&RunSummary) -> Vec<String>,
+    ) -> TextTable {
+        let mut t = TextTable::new(headers);
+        for algo in Algo::ALL {
+            let mut row = vec![algo.name().to_string()];
+            row.extend(cells(self.get(mix, algo)));
+            t.row(row);
+        }
+        t
+    }
+
+    /// The average-FCT table of Figs. 12 and 15.
+    pub fn avg_table(&self, mix: TrafficMix) -> TextTable {
+        let headers = vec!["algorithm", "intra avg", "cross avg", "done"];
+        self.table(mix, headers, |r| {
+            vec![
+                format!("{:.1}", r.breakdown.intra_dc.avg_us),
+                format!("{:.1}", r.breakdown.cross_dc.avg_us),
+                format!("{}/{}", r.flows_completed, r.flows_total),
+            ]
+        })
+    }
+
+    /// MLCC's average-FCT reduction against `base` on `mix`, per class,
+    /// as one comment line.
+    pub fn vs_line(&self, mix: TrafficMix, base: Algo) -> String {
+        let (m, b) = (
+            &self.get(mix, Algo::Mlcc).breakdown,
+            &self.get(mix, base).breakdown,
+        );
+        format!(
+            "# MLCC vs {} ({}): intra {:+.1}%  cross {:+.1}%",
+            base.name(),
+            mix.name(),
+            (1.0 - m.intra_dc.avg_us / b.intra_dc.avg_us) * 100.0,
+            (1.0 - m.cross_dc.avg_us / b.cross_dc.avg_us) * 100.0,
+        )
+    }
+}
+
+/// Every algorithm on one configuration, in `Algo::ALL` order, run in
+/// parallel.
+pub fn run_algos(cfg: LargeScaleConfig) -> Vec<(Algo, RunSummary)> {
+    run_parallel(
+        Algo::ALL
+            .map(|algo| move || (algo, run(algo, cfg)))
+            .to_vec(),
+    )
+}
+
+/// The 99.9th-percentile FCT (µs) of each run by flow size, as
+/// `p (count)` per bucket, for the intra-DC and then the cross-DC class:
+/// the tables of Figs. 13 and 14.
+pub fn tail_by_size(runs: &[(Algo, RunSummary)]) -> [(&'static str, TextTable); 2] {
+    let mut headers = vec!["algorithm"];
+    headers.extend(SIZE_BUCKETS.iter().map(|&(_, label)| label));
+    let table = |cross: bool| {
+        let mut t = TextTable::new(headers.clone());
+        for (algo, r) in runs {
+            let b = &r.breakdown;
+            let buckets = if cross {
+                &b.cross_by_size
+            } else {
+                &b.intra_by_size
+            };
+            let mut row = vec![algo.name().to_string()];
+            row.extend(buckets.iter().map(|&(_, p, n)| match n {
+                0 => "-".to_string(),
+                _ => format!("{p:.0} ({n})"),
+            }));
+            t.row(row);
+        }
+        t
+    };
+    [("intra-DC", table(false)), ("cross-DC", table(true))]
 }

@@ -33,33 +33,6 @@ pub use hpcc::{Hpcc, HpccParams};
 pub use powertcp::{PowerTcp, PowerTcpParams};
 pub use timely::{Timely, TimelyParams};
 
-/// The algorithms a run can select.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Baseline {
-    Dcqcn,
-    Timely,
-    Hpcc,
-    PowerTcp,
-}
-
-impl Baseline {
-    pub const ALL: [Baseline; 4] = [
-        Baseline::Dcqcn,
-        Baseline::Timely,
-        Baseline::Hpcc,
-        Baseline::PowerTcp,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Baseline::Dcqcn => "DCQCN",
-            Baseline::Timely => "Timely",
-            Baseline::Hpcc => "HPCC",
-            Baseline::PowerTcp => "PowerTCP",
-        }
-    }
-}
-
 /// Factory for DCQCN flows (receiver: CNP on CE marks, 50 µs pacing).
 #[derive(Default)]
 pub struct DcqcnFactory {
@@ -155,16 +128,6 @@ impl CcFactory for PowerTcpFactory {
     }
 }
 
-/// Build the factory for a named baseline with default parameters.
-pub fn factory(b: Baseline) -> Box<dyn CcFactory> {
-    match b {
-        Baseline::Dcqcn => Box::new(DcqcnFactory::default()),
-        Baseline::Timely => Box::new(TimelyFactory::default()),
-        Baseline::Hpcc => Box::new(HpccFactory::default()),
-        Baseline::PowerTcp => Box::new(PowerTcpFactory::default()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,10 +157,20 @@ mod tests {
         }
     }
 
+    /// Each factory with its default parameters, and whether its sender
+    /// is window-based.
+    fn factories() -> [(Box<dyn CcFactory>, bool); 4] {
+        [
+            (Box::new(DcqcnFactory::default()), false),
+            (Box::new(TimelyFactory::default()), false),
+            (Box::new(HpccFactory::default()), true),
+            (Box::new(PowerTcpFactory::default()), true),
+        ]
+    }
+
     #[test]
     fn factories_build_named_senders() {
-        for b in Baseline::ALL {
-            let f = factory(b);
+        for (f, _) in factories() {
             let s = f.sender(&env());
             assert_eq!(s.name(), f.name());
             assert!(s.rate_bps() > 0.0);
@@ -206,19 +179,9 @@ mod tests {
 
     #[test]
     fn window_algorithms_cap_inflight() {
-        for b in [Baseline::Hpcc, Baseline::PowerTcp] {
-            let s = factory(b).sender(&env());
-            assert!(s.window_bytes().is_some(), "{b:?} is window-based");
+        for (f, windowed) in factories() {
+            let s = f.sender(&env());
+            assert_eq!(s.window_bytes().is_some(), windowed, "{}", f.name());
         }
-        for b in [Baseline::Dcqcn, Baseline::Timely] {
-            let s = factory(b).sender(&env());
-            assert!(s.window_bytes().is_none(), "{b:?} is rate-based");
-        }
-    }
-
-    #[test]
-    fn baseline_names() {
-        assert_eq!(Baseline::Dcqcn.name(), "DCQCN");
-        assert_eq!(Baseline::ALL.len(), 4);
     }
 }

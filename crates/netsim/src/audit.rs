@@ -501,7 +501,6 @@ mod tests {
     use crate::config::SimConfig;
     use crate::link::LinkOpts;
     use crate::pfc::PfcConfig;
-    use crate::switch::SwitchKind;
     use crate::topology::{NetBuilder, Network};
     use crate::units::{GBPS, MS, SEC, US};
 
@@ -511,7 +510,7 @@ mod tests {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, buffer, PfcConfig::dc_switch());
+        let s = b.add_switch(buffer, PfcConfig::dc_switch());
         for h in [h0, h1, h2] {
             b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
         }

@@ -130,6 +130,9 @@ pub enum ConfigError {
     /// A flow endpoint that is a switch (or out of range) can neither
     /// send nor receive.
     NonHostFlowEndpoint { node: NodeId },
+    /// The topology has no path from the flow's source to its
+    /// destination.
+    NoRoute { src: NodeId, dst: NodeId },
     /// A fault-profile loss probability outside [0, 1]. The value is
     /// carried as raw `f64` bits so the error stays `Copy + Eq`.
     FaultProbability { knob: &'static str, bits: u64 },
@@ -186,6 +189,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonHostFlowEndpoint { node } => {
                 write!(f, "flow endpoint {node} is not a host")
             }
+            ConfigError::NoRoute { src, dst } => write!(f, "no route {src} → {dst}"),
             ConfigError::FaultProbability { knob, bits } => {
                 write!(
                     f,
@@ -288,8 +292,7 @@ mod tests {
     use crate::link::LinkOpts;
     use crate::pfc::PfcConfig;
     use crate::sim::Simulator;
-    use crate::switch::SwitchKind;
-    use crate::topology::{NetBuilder, TwoDcParams};
+    use crate::topology::{NetBuilder, TwoDcParams, TwoDcTopology};
     use crate::units::{Bandwidth, GBPS, US};
 
     /// Minimal valid h0 — s — h1 line, with hooks to break it.
@@ -297,7 +300,7 @@ mod tests {
         let mut b = NetBuilder::new(1000);
         let h0 = b.add_host();
         let h1 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 1 << 20, PfcConfig::dc_switch());
+        let s = b.add_switch(1 << 20, PfcConfig::dc_switch());
         let opts = LinkOpts {
             ecn,
             ..LinkOpts::default()
@@ -333,8 +336,8 @@ mod tests {
     #[test]
     fn hostless_topology_rejected() {
         let mut b = NetBuilder::new(1000);
-        let s0 = b.add_switch(SwitchKind::Leaf, 1 << 20, PfcConfig::dc_switch());
-        let s1 = b.add_switch(SwitchKind::Leaf, 1 << 20, PfcConfig::dc_switch());
+        let s0 = b.add_switch(1 << 20, PfcConfig::dc_switch());
+        let s1 = b.add_switch(1 << 20, PfcConfig::dc_switch());
         b.connect(s0, s1, GBPS, US, LinkOpts::default());
         assert_eq!(
             validate(&SimConfig::default(), &b.build()),
@@ -391,7 +394,7 @@ mod tests {
             headroom_bytes: Some(100_000),
             ..PfcConfig::dc_switch()
         };
-        let s = b.add_switch(SwitchKind::Leaf, 64_000, pfc);
+        let s = b.add_switch(64_000, pfc);
         b.connect(h0, s, GBPS, US, LinkOpts::default());
         b.connect(s, h1, GBPS, US, LinkOpts::default());
         assert_eq!(
@@ -413,7 +416,7 @@ mod tests {
             headroom_bytes: Some(10_000),
             ..PfcConfig::disabled()
         };
-        let s = b.add_switch(SwitchKind::Leaf, 1 << 20, pfc);
+        let s = b.add_switch(1 << 20, pfc);
         b.connect(h0, s, GBPS, US, LinkOpts::default());
         b.connect(s, h1, GBPS, US, LinkOpts::default());
         assert_eq!(
@@ -430,11 +433,7 @@ mod tests {
         let mut b = NetBuilder::new(1000);
         let h0 = b.add_host();
         let h1 = b.add_host();
-        let s = b.add_switch(
-            SwitchKind::Leaf,
-            1 << 20,
-            PfcConfig::dc_switch().without_headroom(),
-        );
+        let s = b.add_switch(1 << 20, PfcConfig::dc_switch().without_headroom());
         b.connect(h0, s, GBPS, US, LinkOpts::default());
         b.connect(s, h1, GBPS, US, LinkOpts::default());
         let net = b.build();
@@ -470,6 +469,20 @@ mod tests {
         assert!(!c.dci.pfq_enabled);
         let m = DciFeatures::mlcc();
         assert!(m.pfq_enabled && m.near_source_enabled);
-        assert_eq!(TwoDcParams::default().pfq_init_rate, 25 * GBPS);
+        // A new per-flow queue at a two-DC receiver-side DCI starts at
+        // the 25 Gbps server line rate.
+        let mut t = TwoDcTopology::build(TwoDcParams {
+            servers_per_leaf: 1,
+            ..TwoDcParams::default()
+        });
+        let pfq = t.net.links[t.dci_to_spine[1][0].index()].pfq.as_mut();
+        let pfq = pfq.expect("PFQ on the DCI→spine egress");
+        let flow = crate::types::FlowId(0);
+        let pkt = crate::packet::Packet::data(0, flow, NodeId(0), NodeId(1), 0, 1000, 0);
+        assert!(
+            pfq.enqueue(Box::new(pkt), 0),
+            "first packet creates the queue"
+        );
+        assert_eq!(pfq.get(flow).map(|q| q.rate_bps()), Some(25 * GBPS));
     }
 }

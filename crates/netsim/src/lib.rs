@@ -26,7 +26,7 @@
 //! let mut b = NetBuilder::new(1000);
 //! let h0 = b.add_host();
 //! let h1 = b.add_host();
-//! let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+//! let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
 //! b.connect(h0, s, 10 * GBPS, US, LinkOpts::default());
 //! b.connect(h1, s, 10 * GBPS, US, LinkOpts::default());
 //!
@@ -87,7 +87,6 @@ pub mod prelude {
         partition_components, run_sharded, run_single_canonical, ShardCtx, ShardedOutput,
     };
     pub use crate::sim::{SimOutput, Simulator, WatchdogReport};
-    pub use crate::switch::SwitchKind;
     pub use crate::topology::{
         DumbbellParams, DumbbellTopology, FatTreeParams, FatTreeTopology, IslandKind,
         MultiDcParams, MultiDcTopology, NetBuilder, Network, TwoDcParams, TwoDcTopology,

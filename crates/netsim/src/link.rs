@@ -14,30 +14,19 @@ use crate::types::{LinkId, NodeId};
 use crate::units::{tx_time, Bandwidth, Time};
 
 /// Options applied when creating a link.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LinkOpts {
-    /// Push INT hop records on data packets at dequeue.
-    pub int_enabled: bool,
-    /// Mark this link's INT records as DCI records.
-    pub int_is_dci: bool,
-    /// This is the long-haul DCI↔DCI link.
+    /// This link crosses between datacenters: the one declaration of the
+    /// datacenter boundary. Every switch at either end takes the DCI role
+    /// (see [`crate::topology::NetBuilder::build`]), its INT records are
+    /// DCI records, and sharding partitions the fabric at it.
     pub long_haul: bool,
-    /// ECN marking profile for this egress. `None` derives the standard
-    /// profile from the link rate (ECN is configured per port on real
-    /// switches, so thresholds must scale with the egress rate, not the
-    /// switch).
+    /// ECN marking profile for this egress. `None` derives it: the
+    /// deep-buffer [`EcnConfig::dci_switch`] profile on the egresses of a
+    /// DCI switch, else the standard profile scaled to the link rate (ECN
+    /// is configured per port on real switches, so thresholds must scale
+    /// with the egress rate, not the switch).
     pub ecn: Option<EcnConfig>,
-}
-
-impl Default for LinkOpts {
-    fn default() -> Self {
-        LinkOpts {
-            int_enabled: true,
-            int_is_dci: false,
-            long_haul: false,
-            ecn: None,
-        }
-    }
 }
 
 /// A unidirectional link plus the egress queue feeding it.

@@ -486,20 +486,21 @@ mod tests {
     use crate::config::SimConfig;
     use crate::link::LinkOpts;
     use crate::pfc::PfcConfig;
-    use crate::switch::SwitchKind;
     use crate::topology::NetBuilder;
     use crate::units::{GBPS, MS, US};
 
     /// Two 2-host islands joined by a long-haul pair:
-    /// (h0, h1 — s0) ═ (s1 — h2, h3).
+    /// (h0, h1 — s0) ═ (s1 — h2, h3). Terminating the long haul makes s0
+    /// and s1 DCIs, with the DCI ECN profile on every egress; under
+    /// `NoCcFactory` and baseline DCI features the role changes nothing.
     fn two_island_sim() -> Simulator {
         let mut b = NetBuilder::new(1000);
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
         let h3 = b.add_host();
-        let s0 = b.add_switch(SwitchKind::Dci, 32_000_000, PfcConfig::disabled());
-        let s1 = b.add_switch(SwitchKind::Dci, 32_000_000, PfcConfig::disabled());
+        let s0 = b.add_switch(32_000_000, PfcConfig::disabled());
+        let s1 = b.add_switch(32_000_000, PfcConfig::disabled());
         for h in [h0, h1] {
             b.connect(h, s0, 10 * GBPS, 1 * US, LinkOpts::default());
         }
@@ -537,7 +538,7 @@ mod tests {
         let mut b = NetBuilder::new(1000);
         let h0 = b.add_host();
         let h1 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 1 << 20, PfcConfig::dc_switch());
+        let s = b.add_switch(1 << 20, PfcConfig::dc_switch());
         b.connect(h0, s, GBPS, US, LinkOpts::default());
         b.connect(h1, s, GBPS, US, LinkOpts::default());
         let net = b.build();

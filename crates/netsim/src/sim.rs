@@ -150,7 +150,8 @@ pub struct Simulator {
     pub routes: RoutingTables,
     pub hosts: Vec<NodeId>,
     pub flows: Vec<FlowSpec>,
-    pub paths: Vec<Option<FlowPath>>,
+    /// Resolved path of each registered flow, parallel to `flows`.
+    pub paths: Vec<FlowPath>,
     factory: Box<dyn CcFactory>,
     /// Per-link ECN samplers: each egress draws from its own substream
     /// keyed by `(cfg.seed ⊕ ECN_STREAM_SALT, link id)`, so the draw
@@ -410,7 +411,8 @@ impl Simulator {
     }
 
     /// Fallible flow registration: rejects self-flows, zero-byte flows,
-    /// and endpoints that are not hosts with a typed [`ConfigError`].
+    /// endpoints that are not hosts, and pairs with no route between
+    /// them with a typed [`ConfigError`].
     ///
     /// The receive side (resolved path + receiver CC) is installed
     /// eagerly here rather than at the `FlowStart` event: registration
@@ -439,6 +441,9 @@ impl Simulator {
                 return Err(ConfigError::NonHostFlowEndpoint { node: ep });
             }
         }
+        if self.routes.candidates(src, dst).is_empty() {
+            return Err(ConfigError::NoRoute { src, dst });
+        }
         let id = FlowId(self.flows.len() as u32);
         let spec = FlowSpec {
             id,
@@ -451,7 +456,7 @@ impl Simulator {
         self.flow_end.push(None);
         self.sender_done.push(false);
         let path = self.resolve_path(&spec);
-        self.paths.push(Some(path));
+        self.paths.push(path);
         let env = CcEnv {
             flow: spec,
             path,
@@ -970,7 +975,7 @@ impl Simulator {
             dst: spec.dst,
             size_bytes: spec.size_bytes,
         });
-        let path = self.paths[fid.index()].expect("path resolved at registration");
+        let path = self.paths[fid.index()];
         let env = CcEnv {
             flow: spec,
             path,
@@ -1053,13 +1058,10 @@ impl Simulator {
 
     fn switch_arrival(&mut self, node: NodeId, in_link: LinkId, mut pkt: Box<Packet>) {
         let now = self.now;
-        let (is_lh_in, has_dci) = {
-            let sw = self.nodes[node.index()].as_switch().expect("switch");
-            (sw.is_long_haul_ingress(in_link), sw.dci.is_some())
-        };
+        let pfq_enabled = self.cfg.dci.pfq_enabled;
 
         // Receiver-side DCI: data from the long haul goes to its PFQ.
-        if pkt.is_data() && is_lh_in && self.cfg.dci.pfq_enabled {
+        if pfq_enabled && pkt.is_data() && self.links[in_link.index()].opts.long_haul {
             // "Erase and reinsert the INT information" (§3.2.2): the
             // sender-side records were already consumed by the
             // near-source loop; the stack restarts here. Its box goes
@@ -1090,33 +1092,31 @@ impl Simulator {
         }
 
         // Receiver-side DCI: ACKs heading out the long haul carry the
-        // credit counter C_R and the dequeue rate R_credit (Algorithm 1).
-        if pkt.kind == PacketKind::Ack && has_dci && self.cfg.dci.pfq_enabled {
-            if let Some(egress) = self.routes.pick(node, pkt.dst, pkt.flow) {
-                let is_out = self.nodes[node.index()]
-                    .as_switch()
-                    .is_some_and(|sw| sw.is_long_haul_egress(egress));
-                if is_out {
-                    let pfq_link = self.nodes[node.index()]
-                        .as_switch()
-                        .and_then(|sw| sw.dci.as_ref())
-                        .and_then(|d| d.pfq_link.get(pkt.flow))
-                        .copied();
-                    if let Some(pl) = pfq_link {
-                        let mut kick = false;
-                        if let Some(pfq) = self.links[pl.index()].pfq.as_mut() {
-                            if let Some(cr) = pkt.mlcc.c_r() {
-                                pfq.set_credit(pkt.flow, cr, now);
-                            }
-                            if let Some(r) = pkt.mlcc.r_credit_bps() {
-                                pfq.set_rate(pkt.flow, r, now);
-                                kick = true;
-                            }
-                        }
-                        if kick {
-                            self.try_start_tx(pl);
-                        }
+        // credit counter C_R and the dequeue rate R_credit (Algorithm 1)
+        // to the flow's PFQ.
+        if pfq_enabled && pkt.kind == PacketKind::Ack {
+            let pfq_link = self.nodes[node.index()]
+                .as_switch()
+                .and_then(|sw| sw.dci.as_ref())
+                .and_then(|d| d.pfq_link.get(pkt.flow))
+                .copied()
+                .filter(|_| {
+                    let egress = self.routes.pick(node, pkt.dst, pkt.flow);
+                    egress.is_some_and(|e| self.links[e.index()].opts.long_haul)
+                });
+            if let Some(pl) = pfq_link {
+                let mut kick = false;
+                if let Some(pfq) = self.links[pl.index()].pfq.as_mut() {
+                    if let Some(cr) = pkt.mlcc.c_r() {
+                        pfq.set_credit(pkt.flow, cr, now);
                     }
+                    if let Some(r) = pkt.mlcc.r_credit_bps() {
+                        pfq.set_rate(pkt.flow, r, now);
+                        kick = true;
+                    }
+                }
+                if kick {
+                    self.try_start_tx(pl);
                 }
             }
         }
@@ -1303,7 +1303,7 @@ impl Simulator {
     /// data-plane state and survives an outage.
     fn stamp(&mut self, l: LinkId, pkt: &mut Packet, from_pfq: bool, dark: bool) {
         let lk = &self.links[l.index()];
-        if pkt.is_data() && lk.opts.int_enabled {
+        if pkt.is_data() {
             if dark {
                 self.out.int_suppressed += 1;
             } else {
@@ -1321,7 +1321,7 @@ impl Simulator {
                     qlen_bytes: qlen,
                     tx_bytes: lk.tx_bytes,
                     link_bps: lk.bandwidth,
-                    is_dci: lk.opts.int_is_dci || from_pfq,
+                    is_dci: lk.opts.long_haul || from_pfq,
                 };
                 let pool = &mut self.pkt_pool;
                 pkt.int.get_or_insert_with(|| pool.take_int()).push(hop);
@@ -1340,17 +1340,15 @@ impl Simulator {
     /// leaves the pacing state untouched: the switch's telemetry agent
     /// is down, not merely rate-limited.
     fn near_source_feedback(&mut self, l: LinkId, pkt: &mut Packet, dark: bool) -> Option<Packet> {
-        if !pkt.is_data() || !self.cfg.dci.near_source_enabled {
+        let lk = &self.links[l.index()];
+        if !pkt.is_data() || !self.cfg.dci.near_source_enabled || !lk.opts.long_haul {
             return None;
         }
-        let (now, at) = (self.now, self.links[l.index()].src);
-        let sw = self.nodes[at.index()]
-            .as_switch_mut()
-            .filter(|sw| sw.is_long_haul_egress(l))?;
+        let (now, at) = (self.now, lk.src);
+        let dci = self.nodes[at.index()].as_switch_mut()?.dci.as_mut()?;
         // Strip the stack by move: either it rides the feedback packet
         // or its box goes straight back to the pool.
         let stack = pkt.int.take();
-        let dci = sw.dci.as_mut().expect("a long-haul egress has a DCI role");
         if dark {
             self.out.int_suppressed += 1;
         } else if dci.switch_int_due(pkt.flow, now) {
@@ -1603,9 +1601,9 @@ impl Simulator {
             .sum()
     }
 
-    /// The resolved path of a flow, if it has started.
+    /// The resolved path of a flow, if it is registered.
     pub fn flow_path(&self, f: FlowId) -> Option<FlowPath> {
-        self.paths.get(f.index()).copied().flatten()
+        self.paths.get(f.index()).copied()
     }
 }
 
@@ -1626,7 +1624,6 @@ mod tests {
     use crate::ecn::EcnConfig;
     use crate::link::LinkOpts;
     use crate::pfc::PfcConfig;
-    use crate::switch::SwitchKind;
     use crate::topology::NetBuilder;
     use crate::units::{GBPS, MS, US};
 
@@ -1635,29 +1632,55 @@ mod tests {
         let mut b = NetBuilder::new(1000);
         let h0 = b.add_host();
         let h1 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+        let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
         b.connect(h0, s, 10 * GBPS, 1 * US, LinkOpts::default());
         b.connect(h1, s, 10 * GBPS, 1 * US, LinkOpts::default());
         b.build()
     }
 
+    /// h0 — s1 — … — s(L−1) — h1: `hops` links of 10 Gbps / 1 µs.
+    fn chain_net(hops: usize) -> Network {
+        let mut b = NetBuilder::new(1000);
+        let (h0, h1) = (b.add_host(), b.add_host());
+        let mut prev = h0;
+        for _ in 1..hops {
+            let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
+            b.connect(prev, s, 10 * GBPS, 1 * US, LinkOpts::default());
+            prev = s;
+        }
+        b.connect(prev, h1, 10 * GBPS, 1 * US, LinkOpts::default());
+        b.build()
+    }
+
     #[test]
     fn single_flow_completes_with_expected_fct() {
-        let net = line_net();
-        let cfg = SimConfig::default();
-        let mut sim = Simulator::new(net, cfg, Box::new(NoCcFactory));
-        let size = 100_000u64;
-        sim.add_flow(NodeId(0), NodeId(1), size, 0);
-        assert!(sim.run_until_flows_complete());
-        assert_eq!(sim.out.fcts.len(), 1);
-        let fct = sim.out.fcts[0].fct();
-        // Ideal: ~size/10Gbps + path latency. 100 packets of 1048 B at
-        // 10 Gbps is 83.84 µs; propagation+ser overheads add a few µs.
-        let ideal = tx_time(100 * 1048, 10 * GBPS);
-        assert!(fct >= ideal, "fct {fct} < ideal {ideal}");
-        assert!(fct < ideal + 20 * US, "fct {fct} ≫ ideal {ideal}");
-        assert_eq!(sim.out.total_dropped(), 0);
-        assert_eq!(sim.out.retransmits, 0);
+        // Store-and-forward closed form for a lone uncontrolled flow of n
+        // packets over L equal links of rate R and delay d. The source
+        // sends n−1 full packets back to back and then the last one. Each
+        // later hop is still serializing the next-to-last packet when the
+        // last one lands, so it adds one full-packet time T (or the last
+        // packet's own time t when it is the only one). Then come t and
+        // L propagation delays: (n−1)·T + (L−1)·(n>1 ? T : t) + t + L·d.
+        let (rate, delay) = (10 * GBPS, 1 * US);
+        let full = tx_time(1048, rate);
+        for hops in [2u64, 3, 4] {
+            for size in [1u64, 1000, 99_500, 100_000] {
+                let mut sim = Simulator::new(
+                    chain_net(hops as usize),
+                    SimConfig::default(),
+                    Box::new(NoCcFactory),
+                );
+                sim.add_flow(NodeId(0), NodeId(1), size, 0);
+                assert!(sim.run_until_flows_complete());
+                let n = size.div_ceil(1000);
+                let last = tx_time(size - (n - 1) * 1000 + 48, rate);
+                let lead = if n > 1 { full } else { last };
+                let want = (n - 1) * full + (hops - 1) * lead + last + hops * delay;
+                assert_eq!(sim.out.fcts[0].fct(), want, "{hops} links, {size} B");
+                assert_eq!(sim.out.total_dropped(), 0);
+                assert_eq!(sim.out.retransmits, 0);
+            }
+        }
     }
 
     #[test]
@@ -1715,6 +1738,30 @@ mod tests {
     }
 
     #[test]
+    fn unroutable_flow_is_rejected() {
+        // h0 — s0 — h2 and h1 — s1, with no link between the switches:
+        // h0 → h1 has no route, and registration must say so with a typed
+        // error before it touches any per-flow state.
+        let mut b = NetBuilder::new(1000);
+        let (h0, h1, h2) = (b.add_host(), b.add_host(), b.add_host());
+        let s0 = b.add_switch(22_000_000, PfcConfig::dc_switch());
+        let s1 = b.add_switch(22_000_000, PfcConfig::dc_switch());
+        for (h, s) in [(h0, s0), (h2, s0), (h1, s1)] {
+            b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
+        }
+        let mut sim = Simulator::new(b.build(), SimConfig::default(), Box::new(NoCcFactory));
+        sim.add_flow(h0, h2, 5_000, 0);
+        assert_eq!(
+            sim.try_add_flow(h0, h1, 1000, 0),
+            Err(ConfigError::NoRoute { src: h0, dst: h1 })
+        );
+        assert_eq!((sim.flows.len(), sim.paths.len()), (1, 1));
+        sim.add_flow(h2, h0, 5_000, 0);
+        assert!(sim.run_until_flows_complete());
+        assert_eq!(sim.out.fcts.len(), 2);
+    }
+
+    #[test]
     fn byte_conservation_across_flows() {
         let net = line_net();
         let mut sim = Simulator::new(net, SimConfig::default(), Box::new(NoCcFactory));
@@ -1735,7 +1782,7 @@ mod tests {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+        let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
         for h in [h0, h1, h2] {
             b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
         }
@@ -1758,7 +1805,7 @@ mod tests {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 200_000, PfcConfig::dc_switch());
+        let s = b.add_switch(200_000, PfcConfig::dc_switch());
         // 200 KB shared buffer; marking off so only PFC acts.
         for h in [h0, h1, h2] {
             b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
@@ -1779,7 +1826,7 @@ mod tests {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 100_000, PfcConfig::disabled());
+        let s = b.add_switch(100_000, PfcConfig::disabled());
         for h in [h0, h1, h2] {
             b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
         }
@@ -1829,7 +1876,7 @@ mod tests {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+        let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
         let custom = EcnConfig {
             kmin_bytes: 20_000,
             kmax_bytes: 80_000,
@@ -2164,7 +2211,7 @@ mod tests {
             let h0 = b.add_host();
             let h1 = b.add_host();
             let h2 = b.add_host();
-            let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+            let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
             b.connect(h0, s, 10 * GBPS, 1 * US, LinkOpts::default());
             b.connect(h1, s, 10 * GBPS, 1 * US, LinkOpts::default());
             let (idle_up, idle_down) = b.connect(h2, s, 10 * GBPS, 1 * US, LinkOpts::default());

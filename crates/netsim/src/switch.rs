@@ -8,24 +8,16 @@ use crate::buffer::SharedBuffer;
 use crate::densemap::DenseMap;
 use crate::pfc::{IngressState, PfcConfig};
 use crate::types::{FlowId, LinkId, NodeId};
-use crate::units::Time;
+use crate::units::{Time, US};
 
-/// What kind of switch this is (affects defaults and reporting only).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SwitchKind {
-    Leaf,
-    Spine,
-    Dci,
-}
+/// Minimum interval between two Switch-INT feedback packets for one flow
+/// at a sender-side DCI.
+pub const SWITCH_INT_MIN_INTERVAL: Time = 4 * US;
 
-/// DCI-role state: present only on DCI switches.
+/// DCI-role state: present exactly on the switches that terminate a
+/// long-haul link (derived by [`crate::topology::NetBuilder::build`]).
+#[derive(Default)]
 pub struct DciState {
-    /// Egress link toward the remote datacenter.
-    pub long_haul_out: LinkId,
-    /// Ingress link from the remote datacenter.
-    pub long_haul_in: LinkId,
-    /// Minimum interval between Switch-INT feedback packets per flow.
-    pub switch_int_min_interval: Time,
     /// Last Switch-INT emission time per flow (dense: flow ids are small
     /// integers, and this is consulted for every long-haul data packet).
     pub last_switch_int: DenseMap<FlowId, Time>,
@@ -36,21 +28,10 @@ pub struct DciState {
 }
 
 impl DciState {
-    pub fn new(long_haul_out: LinkId, long_haul_in: LinkId, min_interval: Time) -> Self {
-        DciState {
-            long_haul_out,
-            long_haul_in,
-            switch_int_min_interval: min_interval,
-            last_switch_int: DenseMap::new(),
-            pfq_link: DenseMap::new(),
-            switch_int_sent: 0,
-        }
-    }
-
     /// Whether a Switch-INT feedback for `flow` may be emitted now.
     pub fn switch_int_due(&mut self, flow: FlowId, now: Time) -> bool {
         match self.last_switch_int.get(flow) {
-            Some(&t) if now < t + self.switch_int_min_interval => false,
+            Some(&t) if now < t + SWITCH_INT_MIN_INTERVAL => false,
             _ => {
                 self.last_switch_int.insert(flow, now);
                 self.switch_int_sent += 1;
@@ -63,7 +44,6 @@ impl DciState {
 /// One switch.
 pub struct Switch {
     pub id: NodeId,
-    pub kind: SwitchKind,
     pub buffer: SharedBuffer,
     pub pfc: PfcConfig,
     /// Per-ingress PFC accounting, keyed densely by the arriving link.
@@ -71,15 +51,14 @@ pub struct Switch {
     /// Dedicated PFC headroom capacity per ingress link (bytes), resolved
     /// at topology-build time from [`PfcConfig::headroom_bytes`].
     pub headroom: DenseMap<LinkId, u64>,
-    /// DCI role, when this switch terminates the long-haul link.
+    /// DCI role, when this switch terminates a long-haul link.
     pub dci: Option<DciState>,
 }
 
 impl Switch {
-    pub fn new(id: NodeId, kind: SwitchKind, buffer_bytes: u64, pfc: PfcConfig) -> Self {
+    pub fn new(id: NodeId, buffer_bytes: u64, pfc: PfcConfig) -> Self {
         Switch {
             id,
-            kind,
             buffer: SharedBuffer::new(buffer_bytes),
             pfc,
             ingress: DenseMap::new(),
@@ -127,17 +106,6 @@ impl Switch {
     /// Total time spent paused across ingresses.
     pub fn pfc_paused_total(&self) -> Time {
         self.ingress.values().map(|i| i.paused_total).sum()
-    }
-
-    /// Whether this switch is the sender-side DCI for a packet taking
-    /// `egress` (i.e. the packet is about to leave the datacenter).
-    pub fn is_long_haul_egress(&self, egress: LinkId) -> bool {
-        self.dci.as_ref().is_some_and(|d| d.long_haul_out == egress)
-    }
-
-    /// Whether a packet arriving on `ingress` just crossed the long haul.
-    pub fn is_long_haul_ingress(&self, ingress: LinkId) -> bool {
-        self.dci.as_ref().is_some_and(|d| d.long_haul_in == ingress)
     }
 
     /// Shared-buffer accounting audit: the buffer's `used` counter must
@@ -190,43 +158,21 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::US;
 
     #[test]
     fn switch_int_rate_limiting() {
-        let mut d = DciState::new(LinkId(0), LinkId(1), 5 * US);
+        let mut d = DciState::default();
         assert!(d.switch_int_due(FlowId(0), 0));
-        assert!(!d.switch_int_due(FlowId(0), 3 * US));
-        assert!(d.switch_int_due(FlowId(0), 5 * US));
+        assert!(!d.switch_int_due(FlowId(0), SWITCH_INT_MIN_INTERVAL - 1));
+        assert!(d.switch_int_due(FlowId(0), SWITCH_INT_MIN_INTERVAL));
         // Independent per flow.
-        assert!(d.switch_int_due(FlowId(1), 6 * US));
+        assert!(d.switch_int_due(FlowId(1), SWITCH_INT_MIN_INTERVAL + 1));
         assert_eq!(d.switch_int_sent, 3);
     }
 
     #[test]
-    fn long_haul_role_checks() {
-        let mut s = Switch::new(
-            NodeId(9),
-            SwitchKind::Dci,
-            128_000_000,
-            PfcConfig::disabled(),
-        );
-        assert!(!s.is_long_haul_egress(LinkId(0)));
-        s.dci = Some(DciState::new(LinkId(0), LinkId(1), US));
-        assert!(s.is_long_haul_egress(LinkId(0)));
-        assert!(!s.is_long_haul_egress(LinkId(1)));
-        assert!(s.is_long_haul_ingress(LinkId(1)));
-        assert!(!s.is_long_haul_ingress(LinkId(0)));
-    }
-
-    #[test]
     fn headroom_charging_rules() {
-        let mut s = Switch::new(
-            NodeId(1),
-            SwitchKind::Leaf,
-            1_000_000,
-            PfcConfig::dc_switch(),
-        );
+        let mut s = Switch::new(NodeId(1), 1_000_000, PfcConfig::dc_switch());
         s.set_ingress_headroom(LinkId(0), 10_000);
         assert_eq!(s.ingress_headroom(LinkId(0)), 10_000);
         assert_eq!(s.ingress_headroom(LinkId(1)), 0, "unreserved port");
@@ -251,12 +197,7 @@ mod tests {
 
     #[test]
     fn pfc_counters_aggregate() {
-        let mut s = Switch::new(
-            NodeId(1),
-            SwitchKind::Leaf,
-            22_000_000,
-            PfcConfig::dc_switch(),
-        );
+        let mut s = Switch::new(NodeId(1), 22_000_000, PfcConfig::dc_switch());
         s.ingress.get_or_default(LinkId(0)).pause_count = 3;
         s.ingress.get_or_default(LinkId(1)).pause_count = 2;
         assert_eq!(s.pfc_pause_count(), 5);

@@ -18,7 +18,7 @@ use crate::pfc::PfcConfig;
 use crate::pfq::PfqSet;
 use crate::queue::PrioQueues;
 use crate::routing::{GraphView, RoutingTables};
-use crate::switch::{DciState, Switch, SwitchKind};
+use crate::switch::{DciState, Switch};
 use crate::types::{LinkId, NodeId};
 use crate::units::{Bandwidth, Time, GBPS, MS, US};
 
@@ -64,18 +64,14 @@ impl NetBuilder {
         id
     }
 
-    /// Add a switch.
-    pub fn add_switch(&mut self, kind: SwitchKind, buffer_bytes: u64, pfc: PfcConfig) -> NodeId {
+    /// Add a switch. It takes the DCI role at [`Self::build`] if it ends
+    /// up terminating a long-haul link.
+    pub fn add_switch(&mut self, buffer_bytes: u64, pfc: PfcConfig) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes
-            .push(Node::Switch(Switch::new(id, kind, buffer_bytes, pfc)));
+            .push(Node::Switch(Switch::new(id, buffer_bytes, pfc)));
         self.adjacency.push(Vec::new());
         id
-    }
-
-    /// Override the ECN profile of one link's egress.
-    pub fn set_link_ecn(&mut self, link: LinkId, ecn: EcnConfig) {
-        self.links[link.index()].ecn = ecn;
     }
 
     /// Connect two nodes with a bidirectional link pair; returns
@@ -130,27 +126,14 @@ impl NetBuilder {
         self.links[link.index()].pfq = Some(PfqSet::new(init_rate, mtu_wire));
     }
 
-    /// Declare a switch as a DCI endpoint of the long-haul link pair.
-    pub fn set_dci(
-        &mut self,
-        node: NodeId,
-        long_haul_out: LinkId,
-        long_haul_in: LinkId,
-        switch_int_min_interval: Time,
-    ) {
-        if let Node::Switch(sw) = &mut self.nodes[node.index()] {
-            sw.dci = Some(DciState::new(
-                long_haul_out,
-                long_haul_in,
-                switch_int_min_interval,
-            ));
-        } else {
-            panic!("set_dci on a host");
-        }
-    }
-
-    /// Finalize: resolve per-ingress PFC headroom and compute routing
-    /// tables.
+    /// Finalize: derive the DCI roles, resolve per-ingress PFC headroom
+    /// and compute routing tables.
+    ///
+    /// The long-haul flag is the one declaration of the datacenter
+    /// boundary: a switch is a DCI exactly when it terminates a
+    /// long-haul link. Each such switch gets a [`DciState`], and each of
+    /// its egresses without an explicit ECN profile gets the deep-buffer
+    /// [`EcnConfig::dci_switch`] profile.
     ///
     /// Headroom resolution walks every link into a PFC-enabled switch
     /// and dedicates `headroom_bytes` of that switch's buffer to the
@@ -158,6 +141,26 @@ impl NetBuilder {
     /// loop's worst case `2 × delay × rate + 2 MTU` (computed from the
     /// upstream link itself) when `None`.
     pub fn build(mut self) -> Network {
+        for i in 0..self.links.len() {
+            if !self.links[i].opts.long_haul {
+                continue;
+            }
+            for n in [self.links[i].src, self.links[i].dst] {
+                let Node::Switch(sw) = &mut self.nodes[n.index()] else {
+                    continue;
+                };
+                if sw.dci.is_some() {
+                    continue;
+                }
+                sw.dci = Some(DciState::default());
+                for &(egress, _) in &self.adjacency[n.index()] {
+                    let lk = &mut self.links[egress.index()];
+                    if lk.opts.ecn.is_none() {
+                        lk.ecn = EcnConfig::dci_switch();
+                    }
+                }
+            }
+        }
         let mtu_wire = (self.mtu_payload + crate::packet::DATA_HEADER_BYTES) as u64;
         for i in 0..self.links.len() {
             let (id, dst, delay, bw) = {
@@ -190,6 +193,12 @@ impl NetBuilder {
     }
 }
 
+/// The options of every long-haul link the builders below lay.
+const LONG_HAUL: LinkOpts = LinkOpts {
+    long_haul: true,
+    ecn: None,
+};
+
 // ---------------------------------------------------------------------------
 // The paper's two-DC spine-leaf topology (Fig. 1).
 // ---------------------------------------------------------------------------
@@ -210,13 +219,6 @@ pub struct TwoDcParams {
     pub dci_switch_buffer: u64,
     /// PFC on intra-DC switches.
     pub pfc: PfcConfig,
-    /// ECN marking on DCI switches (baselines rely on it; MLCC does not).
-    pub dci_ecn: EcnConfig,
-    /// MLCC per-flow-queue initial rate (PFQs are created on the DCI's
-    /// toward-DC egresses; they only activate when the run's
-    /// `DciFeatures::pfq_enabled` is set).
-    pub pfq_init_rate: Bandwidth,
-    pub switch_int_min_interval: Time,
     pub mtu_payload: u32,
 }
 
@@ -238,9 +240,6 @@ impl Default for TwoDcParams {
             dc_switch_buffer: 22_000_000,
             dci_switch_buffer: 128_000_000,
             pfc: PfcConfig::dc_switch(),
-            dci_ecn: EcnConfig::dci_switch(),
-            pfq_init_rate: 25 * GBPS,
-            switch_int_min_interval: 4 * US,
             mtu_payload: 1000,
         }
     }
@@ -275,16 +274,12 @@ impl TwoDcTopology {
 
         for _dc in 0..2 {
             let dc_leaves: Vec<NodeId> = (0..params.leaves_per_dc)
-                .map(|_| b.add_switch(SwitchKind::Leaf, params.dc_switch_buffer, params.pfc))
+                .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
                 .collect();
             let dc_spines: Vec<NodeId> = (0..params.spines_per_dc)
-                .map(|_| b.add_switch(SwitchKind::Spine, params.dc_switch_buffer, params.pfc))
+                .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
                 .collect();
-            let dci = b.add_switch(
-                SwitchKind::Dci,
-                params.dci_switch_buffer,
-                PfcConfig::disabled(),
-            );
+            let dci = b.add_switch(params.dci_switch_buffer, PfcConfig::disabled());
             let mut dc_servers = Vec::new();
             for &leaf in &dc_leaves {
                 let rack: Vec<NodeId> = (0..params.servers_per_leaf)
@@ -333,28 +328,20 @@ impl TwoDcTopology {
                 );
                 spine_to_dci[dc].push(s2d);
                 dci_to_spine[dc].push(d2s);
-                b.enable_pfq(d2s, params.pfq_init_rate);
-                // Deep-buffer egress: the DCI marks far later than the
-                // shallow DC switches.
-                b.set_link_ecn(d2s, params.dci_ecn);
+                // MLCC's per-flow queues start at the server line rate;
+                // they only activate under `DciFeatures::pfq_enabled`.
+                b.enable_pfq(d2s, params.server_link);
             }
         }
 
-        // Long-haul link.
+        // Long-haul link: `build` makes both ends DCIs.
         let (lh01, lh10) = b.connect(
             dcis[0],
             dcis[1],
             params.long_haul_link,
             params.long_haul_delay,
-            LinkOpts {
-                int_enabled: true,
-                int_is_dci: true,
-                long_haul: true,
-                ecn: Some(params.dci_ecn),
-            },
+            LONG_HAUL,
         );
-        b.set_dci(dcis[0], lh01, lh10, params.switch_int_min_interval);
-        b.set_dci(dcis[1], lh10, lh01, params.switch_int_min_interval);
 
         TwoDcTopology {
             net: b.build(),
@@ -437,8 +424,8 @@ impl DumbbellTopology {
         let mut dcis = Vec::new();
         let mut dci_to_tor = Vec::new();
         for _side in 0..2 {
-            let tor = b.add_switch(SwitchKind::Leaf, params.tor_buffer, params.pfc);
-            let dci = b.add_switch(SwitchKind::Dci, params.dci_buffer, PfcConfig::disabled());
+            let tor = b.add_switch(params.tor_buffer, params.pfc);
+            let dci = b.add_switch(params.dci_buffer, PfcConfig::disabled());
             let side_servers: Vec<NodeId> = (0..params.servers_per_tor)
                 .map(|_| {
                     let h = b.add_host();
@@ -448,7 +435,6 @@ impl DumbbellTopology {
                 .collect();
             let (_t2d, d2t) = b.connect(tor, dci, params.fabric_link, 5 * US, LinkOpts::default());
             b.enable_pfq(d2t, params.nic_link);
-            b.set_link_ecn(d2t, EcnConfig::dci_switch());
             servers.push(side_servers);
             tors.push(tor);
             dcis.push(dci);
@@ -459,15 +445,8 @@ impl DumbbellTopology {
             dcis[1],
             params.fabric_link,
             params.long_haul_delay,
-            LinkOpts {
-                int_enabled: true,
-                int_is_dci: true,
-                long_haul: true,
-                ecn: Some(EcnConfig::dci_switch()),
-            },
+            LONG_HAUL,
         );
-        b.set_dci(dcis[0], lh01, lh10, 4 * US);
-        b.set_dci(dcis[1], lh10, lh01, 4 * US);
         DumbbellTopology {
             net: b.build(),
             params,
@@ -599,7 +578,7 @@ struct FatTreeWiring {
 fn wire_fat_tree(b: &mut NetBuilder, p: &FatTreeParams) -> FatTreeWiring {
     let half = p.k / 2;
     let cores: Vec<NodeId> = (0..half * half)
-        .map(|_| b.add_switch(SwitchKind::Spine, p.switch_buffer, p.pfc))
+        .map(|_| b.add_switch(p.switch_buffer, p.pfc))
         .collect();
     let mut w = FatTreeWiring {
         hosts: Vec::new(),
@@ -610,10 +589,10 @@ fn wire_fat_tree(b: &mut NetBuilder, p: &FatTreeParams) -> FatTreeWiring {
     };
     for _pod in 0..p.k {
         let pod_aggs: Vec<NodeId> = (0..half)
-            .map(|_| b.add_switch(SwitchKind::Spine, p.switch_buffer, p.pfc))
+            .map(|_| b.add_switch(p.switch_buffer, p.pfc))
             .collect();
         let pod_edges: Vec<NodeId> = (0..half)
-            .map(|_| b.add_switch(SwitchKind::Leaf, p.switch_buffer, p.pfc))
+            .map(|_| b.add_switch(p.switch_buffer, p.pfc))
             .collect();
         for &edge in &pod_edges {
             for _ in 0..p.hosts_per_edge {
@@ -688,9 +667,6 @@ pub struct MultiDcParams {
     pub dc_switch_buffer: u64,
     pub dci_switch_buffer: u64,
     pub pfc: PfcConfig,
-    pub dci_ecn: EcnConfig,
-    pub pfq_init_rate: Bandwidth,
-    pub switch_int_min_interval: Time,
     pub mtu_payload: u32,
 }
 
@@ -712,9 +688,6 @@ impl Default for MultiDcParams {
             dc_switch_buffer: 22_000_000,
             dci_switch_buffer: 128_000_000,
             pfc: PfcConfig::dc_switch(),
-            dci_ecn: EcnConfig::dci_switch(),
-            pfq_init_rate: 25 * GBPS,
-            switch_int_min_interval: 4 * US,
             mtu_payload: 1000,
         }
     }
@@ -782,14 +755,10 @@ impl MultiDcTopology {
                     servers_per_leaf,
                 } => {
                     let isl_leaves: Vec<NodeId> = (0..leaves)
-                        .map(|_| {
-                            b.add_switch(SwitchKind::Leaf, params.dc_switch_buffer, params.pfc)
-                        })
+                        .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
                         .collect();
                     let isl_spines: Vec<NodeId> = (0..spines)
-                        .map(|_| {
-                            b.add_switch(SwitchKind::Spine, params.dc_switch_buffer, params.pfc)
-                        })
+                        .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
                         .collect();
                     let mut isl_servers = Vec::new();
                     for &leaf in &isl_leaves {
@@ -843,15 +812,11 @@ impl MultiDcTopology {
                 }
             };
             // One DCI switch per peer island, attached to every top-tier
-            // switch; the toward-island egresses get PFQs and the
-            // deep-buffer ECN profile exactly like the two-DC fabric.
+            // switch; the toward-island egresses get PFQs exactly like the
+            // two-DC fabric.
             let mut isl_dcis = Vec::new();
             for _peer in 0..n - 1 {
-                let dci = b.add_switch(
-                    SwitchKind::Dci,
-                    params.dci_switch_buffer,
-                    PfcConfig::disabled(),
-                );
+                let dci = b.add_switch(params.dci_switch_buffer, PfcConfig::disabled());
                 for &t in &top {
                     let (_t2d, d2t) = b.connect(
                         t,
@@ -860,8 +825,7 @@ impl MultiDcTopology {
                         params.fabric_delay,
                         LinkOpts::default(),
                     );
-                    b.enable_pfq(d2t, params.pfq_init_rate);
-                    b.set_link_ecn(d2t, params.dci_ecn);
+                    b.enable_pfq(d2t, params.server_link);
                 }
                 isl_dcis.push(dci);
             }
@@ -884,15 +848,8 @@ impl MultiDcTopology {
                     db,
                     params.long_haul_link,
                     params.long_haul_delay,
-                    LinkOpts {
-                        int_enabled: true,
-                        int_is_dci: true,
-                        long_haul: true,
-                        ecn: Some(params.dci_ecn),
-                    },
+                    LONG_HAUL,
                 );
-                b.set_dci(da, fwd, rev, params.switch_int_min_interval);
-                b.set_dci(db, rev, fwd, params.switch_int_min_interval);
                 long_haul.push((a, bb, [fwd, rev]));
             }
         }
@@ -956,15 +913,59 @@ mod tests {
         assert_eq!(t.server(8, 0), t.servers[1][3][0]);
     }
 
+    /// The switches holding a DCI role, in node order.
+    fn dci_switches(net: &Network) -> Vec<NodeId> {
+        net.nodes
+            .iter()
+            .filter_map(|n| n.as_switch())
+            .filter(|sw| sw.dci.is_some())
+            .map(|sw| sw.id)
+            .collect()
+    }
+
     #[test]
     fn dci_roles_are_wired() {
         let t = TwoDcTopology::build(small_params());
-        let sw0 = t.net.nodes[t.dcis[0].index()].as_switch().unwrap();
-        assert!(sw0.is_long_haul_egress(t.long_haul[0]));
-        assert!(sw0.is_long_haul_ingress(t.long_haul[1]));
-        let sw1 = t.net.nodes[t.dcis[1].index()].as_switch().unwrap();
-        assert!(sw1.is_long_haul_egress(t.long_haul[1]));
-        assert!(sw1.is_long_haul_ingress(t.long_haul[0]));
+        assert_eq!(dci_switches(&t.net), t.dcis);
+        for (dc, &lh) in t.long_haul.iter().enumerate() {
+            let l = &t.net.links[lh.index()];
+            assert!(l.opts.long_haul);
+            assert_eq!((l.src, l.dst), (t.dcis[dc], t.dcis[1 - dc]));
+            assert_eq!(l.ecn, EcnConfig::dci_switch());
+        }
+        for &l in t.dci_to_spine.iter().flatten() {
+            assert_eq!(t.net.links[l.index()].ecn, EcnConfig::dci_switch());
+        }
+    }
+
+    #[test]
+    fn dci_role_skips_hosts_and_keeps_explicit_ecn() {
+        // h0 ═ s0 — h1: the host end of the long haul takes no role, and
+        // the DCI's egress toward h1 keeps the profile `connect` gave it.
+        let custom = EcnConfig {
+            kmin_bytes: 1_000,
+            kmax_bytes: 2_000,
+            pmax: 0.5,
+            enabled: true,
+        };
+        let mut b = NetBuilder::new(1000);
+        let (h0, h1) = (b.add_host(), b.add_host());
+        let s0 = b.add_switch(1 << 20, PfcConfig::disabled());
+        let lh = LinkOpts {
+            long_haul: true,
+            ..LinkOpts::default()
+        };
+        let (up, down) = b.connect(h0, s0, 10 * GBPS, MS, lh);
+        let explicit = LinkOpts {
+            ecn: Some(custom),
+            ..LinkOpts::default()
+        };
+        let (_, to_h1) = b.connect(h1, s0, 10 * GBPS, US, explicit);
+        let net = b.build();
+        assert_eq!(dci_switches(&net), vec![s0]);
+        assert_eq!(net.links[up.index()].ecn, EcnConfig::dc_switch(10 * GBPS));
+        assert_eq!(net.links[down.index()].ecn, EcnConfig::dci_switch());
+        assert_eq!(net.links[to_h1.index()].ecn, custom);
     }
 
     #[test]
@@ -1065,8 +1066,20 @@ mod tests {
             let sa = t.net.links[fwd.index()].src;
             let sb = t.net.links[fwd.index()].dst;
             assert!(t.dcis[a].contains(&sa) && t.dcis[bb].contains(&sb));
-            let swa = t.net.nodes[sa.index()].as_switch().unwrap();
-            assert!(swa.is_long_haul_egress(fwd) && swa.is_long_haul_ingress(rev));
+            assert_eq!(t.net.links[rev.index()].src, sb);
+        }
+        // Every DCI switch terminates exactly one long haul, and only
+        // DCI switches hold the role.
+        let mut dcis: Vec<NodeId> = t.dcis.iter().flatten().copied().collect();
+        dcis.sort();
+        assert_eq!(dci_switches(&t.net), dcis);
+        for &dci in &dcis {
+            let lh = t
+                .net
+                .links
+                .iter()
+                .filter(|l| l.src == dci && l.opts.long_haul);
+            assert_eq!(lh.count(), 1);
         }
         assert_eq!(t.long_haul_pair(2, 0), {
             let [f, r] = t.long_haul_pair(0, 2);

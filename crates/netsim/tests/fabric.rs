@@ -225,8 +225,8 @@ fn pfc_backpressure_propagates_upstream() {
     let mut b = NetBuilder::new(1000);
     let h0 = b.add_host();
     let h1 = b.add_host();
-    let s1 = b.add_switch(SwitchKind::Leaf, 300_000, PfcConfig::dc_switch());
-    let s2 = b.add_switch(SwitchKind::Leaf, 300_000, PfcConfig::dc_switch());
+    let s1 = b.add_switch(300_000, PfcConfig::dc_switch());
+    let s2 = b.add_switch(300_000, PfcConfig::dc_switch());
     b.connect(h0, s1, 10 * GBPS, US, LinkOpts::default());
     b.connect(s1, s2, 10 * GBPS, US, LinkOpts::default());
     b.connect(
@@ -315,7 +315,7 @@ fn window_cap_bounds_inflight_queue() {
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
-        let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::disabled());
+        let s = b.add_switch(22_000_000, PfcConfig::disabled());
         for h in [h0, h1, h2] {
             b.connect(h, s, 10 * GBPS, US, LinkOpts::default());
         }
@@ -403,7 +403,7 @@ fn trace_captures_drops_and_retransmits() {
     let h0 = b.add_host();
     let h1 = b.add_host();
     let h2 = b.add_host();
-    let s = b.add_switch(SwitchKind::Leaf, 100_000, PfcConfig::disabled());
+    let s = b.add_switch(100_000, PfcConfig::disabled());
     for h in [h0, h1, h2] {
         b.connect(h, s, 10 * GBPS, US, LinkOpts::default());
     }
@@ -508,7 +508,7 @@ fn control_traffic_does_not_count_as_data_queue() {
     let mut b = NetBuilder::new(1000);
     let h0 = b.add_host();
     let h1 = b.add_host();
-    let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+    let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
     b.connect(h0, s, 10 * GBPS, US, LinkOpts::default());
     b.connect(h1, s, 10 * GBPS, US, LinkOpts::default());
     let net = b.build();

@@ -15,7 +15,7 @@ fn two_flow_share(factory: Box<dyn CcFactory>) -> (f64, f64) {
     let h0 = b.add_host();
     let h1 = b.add_host();
     let h2 = b.add_host();
-    let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+    let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
     for h in [h0, h1, h2] {
         b.connect(h, s, 10 * GBPS, US, LinkOpts::default());
     }

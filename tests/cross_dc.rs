@@ -12,6 +12,90 @@ fn small_two_dc() -> TwoDcTopology {
     })
 }
 
+/// A hand-built two-DC line: (h0, h1) — tor0 — dci0 ═ dci1 — tor1 —
+/// (h2, h3). Only the long-haul flag says where the datacenters meet;
+/// the receiver-side per-flow queues sit on each DCI's egress to its ToR.
+struct HandBuilt {
+    net: Network,
+    hosts: [NodeId; 4],
+    dcis: [NodeId; 2],
+    dci_to_tor: [LinkId; 2],
+}
+
+fn hand_built() -> HandBuilt {
+    let mut b = NetBuilder::new(1000);
+    let hosts = [b.add_host(), b.add_host(), b.add_host(), b.add_host()];
+    let mut dcis = Vec::new();
+    let mut dci_to_tor = Vec::new();
+    for side in 0..2 {
+        let tor = b.add_switch(22_000_000, PfcConfig::dc_switch());
+        let dci = b.add_switch(128_000_000, PfcConfig::disabled());
+        for &h in &hosts[2 * side..2 * side + 2] {
+            b.connect(h, tor, 25 * GBPS, US, LinkOpts::default());
+        }
+        let (_, d2t) = b.connect(tor, dci, 100 * GBPS, 5 * US, LinkOpts::default());
+        b.enable_pfq(d2t, 25 * GBPS);
+        dcis.push(dci);
+        dci_to_tor.push(d2t);
+    }
+    let long_haul = LinkOpts {
+        long_haul: true,
+        ..LinkOpts::default()
+    };
+    b.connect(dcis[0], dcis[1], 100 * GBPS, MS, long_haul);
+    HandBuilt {
+        net: b.build(),
+        hosts,
+        dcis: [dcis[0], dcis[1]],
+        dci_to_tor: [dci_to_tor[0], dci_to_tor[1]],
+    }
+}
+
+#[test]
+fn dci_roles_derive_from_the_long_haul_flag() {
+    let f = hand_built();
+    let is_dci = |n: NodeId| f.dcis.contains(&n);
+    for node in &f.net.nodes {
+        if let Some(sw) = node.as_switch() {
+            assert_eq!(sw.dci.is_some(), is_dci(sw.id), "DCI role of {}", sw.id);
+        }
+    }
+    for l in &f.net.links {
+        let want = if is_dci(l.src) {
+            EcnConfig::dci_switch()
+        } else {
+            EcnConfig::dc_switch(l.bandwidth)
+        };
+        assert_eq!(l.ecn, want, "ECN profile of {} → {}", l.src, l.dst);
+    }
+}
+
+#[test]
+fn derived_dci_roles_run_both_mlcc_loops() {
+    let f = hand_built();
+    let cfg = SimConfig {
+        dci: DciFeatures::mlcc(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(f.net, cfg, Box::new(MlccFactory::default()));
+    let flow = sim.add_flow(f.hosts[0], f.hosts[2], 1_000_000, 0);
+    assert!(sim.run_until_flows_complete());
+    let dci = |n: NodeId| sim.nodes[n.index()].as_switch().unwrap().dci.as_ref();
+    let sent = dci(f.dcis[0]).map_or(0, |d| d.switch_int_sent);
+    assert!(
+        sent > 0,
+        "the sender-side DCI must emit Switch-INT feedback"
+    );
+    let rx_dci = dci(f.dcis[1]).expect("receiver-side DCI role");
+    assert_eq!(rx_dci.pfq_link.get(flow), Some(&f.dci_to_tor[1]));
+    let pfq = sim.links[f.dci_to_tor[1].index()].pfq.as_ref().unwrap();
+    let queued = pfq.get(flow).map_or(0, |q| q.enqueued_bytes);
+    assert!(
+        queued >= 1_000_000,
+        "all data must pass the receiver-side PFQ"
+    );
+}
+
 #[test]
 fn mlcc_cross_flow_completes_and_uses_pfq() {
     let topo = small_two_dc();

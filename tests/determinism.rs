@@ -94,7 +94,7 @@ fn incast_run(ecn: EcnConfig, seed: u64) -> (u64, u64, Vec<Time>) {
     let h0 = b.add_host();
     let h1 = b.add_host();
     let h2 = b.add_host();
-    let s = b.add_switch(SwitchKind::Leaf, 22_000_000, PfcConfig::dc_switch());
+    let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
     for h in [h0, h1, h2] {
         b.connect(
             h,

@@ -1,7 +1,7 @@
 //! Integration: the full workload→simulation→statistics pipeline runs
 //! for every algorithm and produces sane numbers.
 
-use cc_baselines::{factory, Baseline};
+use mlcc_bench::Algo;
 use mlcc_core::MlccFactory;
 use netsim::cc::CcFactory;
 use netsim::prelude::*;
@@ -61,9 +61,9 @@ fn pipeline(f: Box<dyn CcFactory>, dci: DciFeatures) -> (FctBreakdown, usize, us
 
 #[test]
 fn every_baseline_completes_the_workload() {
-    for b in Baseline::ALL {
-        let (stats, done, total) = pipeline(factory(b), DciFeatures::baseline());
-        assert_eq!(done, total, "{b:?} must complete all flows");
+    for b in Algo::BASELINES {
+        let (stats, done, total) = pipeline(b.factory(), b.dci_features());
+        assert_eq!(done, total, "{} must complete all flows", b.name());
         assert!(stats.all.avg_us > 0.0);
         assert!(stats.all.p999_us >= stats.all.p99_us);
         assert!(stats.all.p99_us >= stats.all.p50_us);

@@ -33,7 +33,7 @@ fn auto_headroom_makes_random_incasts_lossless() {
 
         let mut b = NetBuilder::new(1000);
         let receiver = b.add_host();
-        let sw = b.add_switch(SwitchKind::Leaf, buffer, PfcConfig::dc_switch());
+        let sw = b.add_switch(buffer, PfcConfig::dc_switch());
         b.connect(receiver, sw, bw, delay, LinkOpts::default());
         let senders: Vec<_> = (0..fan_in)
             .map(|_| {
