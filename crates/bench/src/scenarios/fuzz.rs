@@ -559,18 +559,12 @@ fn build_net(spec: &FuzzSpec) -> (Network, [LinkId; 2], Vec<NodeId>, Vec<NodeId>
             (topo.net, topo.agg_core_links[0], servers, switches)
         }
         _ => {
-            let mut params = MultiDcParams {
-                island: IslandKind::SpineLeaf {
-                    spines: 2,
-                    leaves: 2,
-                    servers_per_leaf: spec.hosts as usize,
-                },
-                ..MultiDcParams::default()
-            };
+            let mut params = MultiDcParams::default();
+            params.dc.servers_per_leaf = spec.hosts as usize;
             if spec.buf_kb > 0 {
-                params.dc_switch_buffer = spec.buf_kb as u64 * 1024;
+                params.dc.dc_switch_buffer = spec.buf_kb as u64 * 1024;
             }
-            params.pfc.headroom_bytes = spec.headroom();
+            params.dc.pfc.headroom_bytes = spec.headroom();
             let topo = MultiDcTopology::build(params);
             let servers: Vec<NodeId> = topo.servers.iter().flatten().copied().collect();
             let switches: Vec<NodeId> = topo.island_switches.iter().flatten().copied().collect();

@@ -26,8 +26,6 @@ pub struct SharedBuffer {
     headroom_reserved: u64,
     /// Subset of `used` currently charged to headroom.
     headroom_used: u64,
-    /// Data bytes dropped due to overflow.
-    pub dropped_bytes: u64,
     /// Data packets dropped due to overflow.
     pub dropped_packets: u64,
     /// High-water mark of occupancy.
@@ -41,7 +39,6 @@ impl SharedBuffer {
             used: 0,
             headroom_reserved: 0,
             headroom_used: 0,
-            dropped_bytes: 0,
             dropped_packets: 0,
             peak_used: 0,
         }
@@ -58,7 +55,6 @@ impl SharedBuffer {
     /// packet is droppable.
     pub fn admit(&mut self, bytes: u64, droppable: bool) -> bool {
         if droppable && self.shared_used() + bytes > self.shared_capacity() {
-            self.dropped_bytes += bytes;
             self.dropped_packets += 1;
             return false;
         }
@@ -126,11 +122,6 @@ impl SharedBuffer {
     pub fn headroom_used(&self) -> u64 {
         self.headroom_used
     }
-
-    #[inline]
-    pub fn free(&self) -> u64 {
-        self.capacity.saturating_sub(self.used)
-    }
 }
 
 #[cfg(test)]
@@ -143,10 +134,8 @@ mod tests {
         assert!(b.admit(600, true));
         assert!(b.admit(400, true));
         assert_eq!(b.used(), 1000);
-        assert_eq!(b.free(), 0);
         assert!(!b.admit(1, true));
         assert_eq!(b.dropped_packets, 1);
-        assert_eq!(b.dropped_bytes, 1);
     }
 
     #[test]
@@ -212,7 +201,7 @@ mod tests {
         assert_eq!(a.shared_capacity(), a.capacity());
         assert_eq!(a.shared_used(), a.used());
         assert_eq!(a.used(), b.used());
-        assert_eq!(a.dropped_bytes, b.dropped_bytes);
+        assert_eq!(a.dropped_packets, b.dropped_packets);
     }
 }
 

@@ -77,7 +77,7 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            mtu_payload: 1000,
+            mtu_payload: crate::packet::MTU_PAYLOAD,
             seed: 1,
             stop_time: 100 * MS,
             dci: DciFeatures::baseline(),
@@ -105,6 +105,9 @@ impl SimConfig {
 pub enum ConfigError {
     /// `mtu_payload == 0`: no data packet could ever carry a byte.
     ZeroMtu,
+    /// `mtu_payload` differs from the MTU a host packetizes with, so
+    /// base RTTs and every CC's MTU would describe packets never sent.
+    MtuMismatch { cfg: u32, net: u32 },
     /// The network has no nodes at all.
     EmptyTopology,
     /// The network has nodes but no hosts, so no flow can be placed.
@@ -163,6 +166,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroMtu => write!(f, "mtu_payload must be nonzero"),
+            ConfigError::MtuMismatch { cfg, net } => write!(
+                f,
+                "mtu_payload {cfg} differs from the {net} B the hosts packetize"
+            ),
             ConfigError::EmptyTopology => write!(f, "topology has no nodes"),
             ConfigError::NoHosts => write!(f, "topology has no hosts"),
             ConfigError::ZeroRateLink { link } => {
@@ -237,6 +244,14 @@ impl std::error::Error for ConfigError {}
 pub fn validate(cfg: &SimConfig, net: &Network) -> Result<(), ConfigError> {
     if cfg.mtu_payload == 0 {
         return Err(ConfigError::ZeroMtu);
+    }
+    for h in net.nodes.iter().filter_map(|n| n.as_host()) {
+        if h.mtu_bytes != cfg.mtu_payload {
+            return Err(ConfigError::MtuMismatch {
+                cfg: cfg.mtu_payload,
+                net: h.mtu_bytes,
+            });
+        }
     }
     if net.nodes.is_empty() {
         return Err(ConfigError::EmptyTopology);
@@ -322,6 +337,23 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(validate(&cfg, &line(GBPS, None)), Err(ConfigError::ZeroMtu));
+    }
+
+    #[test]
+    fn mtu_mismatch_rejected() {
+        // The hosts packetize 1000 B while the config would size base
+        // RTTs and CC windows for 1500 B packets.
+        let cfg = SimConfig {
+            mtu_payload: 1500,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            validate(&cfg, &line(GBPS, None)),
+            Err(ConfigError::MtuMismatch {
+                cfg: 1500,
+                net: 1000
+            })
+        );
     }
 
     #[test]

@@ -171,10 +171,9 @@ impl FaultProfile {
 
     /// Reject nonsensical parameters with a typed [`ConfigError`]:
     /// probabilities outside [0, 1], inverted or overlapping flap
-    /// windows, zero-dwell Gilbert–Elliott states. The panicking
-    /// injection path ([`crate::sim::Simulator::inject_link_faults`])
-    /// panics with this error's message; `try_inject_link_faults`
-    /// surfaces it.
+    /// windows, zero-dwell Gilbert–Elliott states.
+    /// [`crate::sim::Simulator::inject_link_faults`] panics with this
+    /// error's message.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (name, p) in [("data_loss", self.data_loss), ("ctrl_loss", self.ctrl_loss)] {
             if !(0.0..=1.0).contains(&p) {

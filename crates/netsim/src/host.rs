@@ -329,7 +329,7 @@ impl Host {
             self.delivered_bytes += pkt.payload as u64;
         }
         let fields = rf.cc.on_data(pkt, now);
-        let mut ack = Packet::ack_for(pool.next_id(), pkt, rf.expected, now);
+        let mut ack = Packet::ack_for(pool.next_id(), pkt, rf.expected);
         if fields.echo_int {
             // Move, don't copy: the data packet's box is about to be
             // recycled, so the ACK takes ownership of the INT stack.
@@ -579,11 +579,6 @@ impl Host {
         };
     }
 
-    /// Total bytes acknowledged across all sending flows (diagnostics).
-    pub fn total_acked(&self) -> u64 {
-        self.send.values().map(|f| f.bytes_acked).sum()
-    }
-
     /// Total go-back-N retransmissions across all sending flows.
     pub fn total_retransmits(&self) -> u64 {
         self.send.values().map(|f| f.retransmits).sum()
@@ -740,7 +735,7 @@ mod tests {
         assert!(matches!(h.next_data_packet(now, &mut pool), HostTx::Idle));
         // ACK the first packet: window opens again.
         let data = p1;
-        let ack = Packet::ack_for(99, &data, 1000, now);
+        let ack = Packet::ack_for(99, &data, 1000);
         h.on_ack(&ack, now);
         assert!(matches!(
             h.next_data_packet(2 * now, &mut pool),
@@ -886,7 +881,7 @@ mod tests {
         // (the ACK lands more than one base interval before the
         // backed-off check, so a base-cadence check beats it).
         let now = at - 2 * h.send_flow(FlowId(0)).unwrap().rto_base;
-        let ack = Packet::ack_for(99, &p1, 1000, now);
+        let ack = Packet::ack_for(99, &p1, 1000);
         let out = h.on_ack(&ack, now);
         let f = h.send_flow(FlowId(0)).unwrap();
         assert_eq!(f.rto_shift, 0);
@@ -938,7 +933,7 @@ mod tests {
         assert!(h.needs_rto(FlowId(0)).is_none());
         assert_eq!(h.active_send_flows(), 0);
         // A straggler ACK does not resurrect the abandoned flow.
-        let ack = Packet::ack_for(99, &p1, 1000, at + MS);
+        let ack = Packet::ack_for(99, &p1, 1000);
         let out = h.on_ack(&ack, at + MS);
         assert!(out.rto_check.is_none() && !out.sender_done);
         assert!(!h.send_flow(FlowId(0)).unwrap().done);
@@ -972,7 +967,7 @@ mod tests {
         }
         assert_eq!(h.send_flow(FlowId(0)).unwrap().stall_checks, 1);
         // Progress wipes the strike count.
-        let ack = Packet::ack_for(99, &p1, 1000, at - 1);
+        let ack = Packet::ack_for(99, &p1, 1000);
         let out = h.on_ack(&ack, at - 1);
         assert_eq!(h.send_flow(FlowId(0)).unwrap().stall_checks, 0);
         if let Some((_, t)) = out.rto_check {
@@ -999,7 +994,7 @@ mod tests {
             let _ = h.next_data_packet(h.send_flow(FlowId(0)).unwrap().next_avail, &mut pool);
             acked += 1000;
             let d = Packet::data(1, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
-            let ack = Packet::ack_for(2, &d, acked, at - 1);
+            let ack = Packet::ack_for(2, &d, acked);
             let out = h.on_ack(&ack, at - 1);
             if let Some((_, t)) = out.rto_check {
                 at = t;
@@ -1047,7 +1042,7 @@ mod tests {
                 // Partial progress via a synthetic cumulative ACK.
                 acked += 1000;
                 let d = Packet::data(1, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
-                let ack = Packet::ack_for(50 + round, &d, acked, at - 1);
+                let ack = Packet::ack_for(50 + round, &d, acked);
                 let out = h.on_ack(&ack, at - 1);
                 // An emitted rto_check supersedes our local `at`.
                 if let Some((_, t)) = out.rto_check {
@@ -1068,7 +1063,7 @@ mod tests {
             HostTx::Packet(p) => p,
             _ => panic!(),
         };
-        let ack = Packet::ack_for(9, &p, 1000, 100);
+        let ack = Packet::ack_for(9, &p, 1000);
         h.on_ack(&ack, 100);
         assert_eq!(h.active_send_flows(), 0);
         h.gc_finished();
@@ -1155,7 +1150,7 @@ mod tests {
         // The short flow completes mid-round; GC churns the ring while
         // the cursor sits between the two long flows.
         let d = Packet::data(99, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
-        let ack = Packet::ack_for(100, &d, 1000, now);
+        let ack = Packet::ack_for(100, &d, 1000);
         let out = h.on_ack(&ack, now);
         assert!(out.sender_done);
         h.gc_finished();
@@ -1167,7 +1162,7 @@ mod tests {
                 h.add_send_flow(spec(3, 1000), path(), Box::new(FixedRateCc::new(25e9)), now);
                 assert_eq!(next(&mut h, &mut now, &mut pool), 3);
                 let d = Packet::data(101, FlowId(3), NodeId(0), NodeId(1), 0, 1000, 0);
-                let ack = Packet::ack_for(102, &d, 1000, now);
+                let ack = Packet::ack_for(102, &d, 1000);
                 assert!(h.on_ack(&ack, now).sender_done);
                 h.gc_finished();
             }

@@ -88,8 +88,8 @@ pub mod prelude {
     };
     pub use crate::sim::{SimOutput, Simulator, WatchdogReport};
     pub use crate::topology::{
-        DumbbellParams, DumbbellTopology, FatTreeParams, FatTreeTopology, IslandKind,
-        MultiDcParams, MultiDcTopology, NetBuilder, Network, TwoDcParams, TwoDcTopology,
+        DumbbellParams, DumbbellTopology, FatTreeParams, FatTreeTopology, MultiDcParams,
+        MultiDcTopology, NetBuilder, Network, TwoDcParams, TwoDcTopology,
     };
     pub use crate::trace::{Trace, TraceEvent, TraceRecord};
     pub use crate::types::{FlowId, LinkId, NodeId, Priority};

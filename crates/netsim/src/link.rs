@@ -53,8 +53,6 @@ pub struct Link {
     pub tx_bytes: u64,
     /// Dedup for scheduled PFQ pacing wakeups.
     pub pfq_wake_at: Option<Time>,
-    /// INT hop identifier (unique per link).
-    pub hop_id: u32,
     /// Packets ever put on the wire by this egress. On long-haul links
     /// this is the content-derived arrival tie-break (see
     /// [`crate::event::boundary_seq`]); elsewhere it is just a counter.
@@ -125,7 +123,6 @@ mod tests {
             busy: false,
             tx_bytes: 0,
             pfq_wake_at: None,
-            hop_id: 0,
             wire_seq: 0,
             faults: None,
         }

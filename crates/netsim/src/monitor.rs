@@ -59,14 +59,6 @@ impl MonitorLog {
         out
     }
 
-    /// Queue-depth series (time, bytes) for the i-th monitored queue.
-    pub fn queue_series(&self, queue_idx: usize) -> Vec<(Time, u64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.t, s.queue_bytes[queue_idx]))
-            .collect()
-    }
-
     /// Sum of several monitored queues per sample — used when a device's
     /// "queue" spans multiple ECMP egresses.
     pub fn queue_sum_series(&self) -> Vec<(Time, u64)> {
@@ -74,15 +66,6 @@ impl MonitorLog {
             .iter()
             .map(|s| (s.t, s.queue_bytes.iter().sum()))
             .collect()
-    }
-
-    /// Peak of a queue series.
-    pub fn queue_peak(&self, queue_idx: usize) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.queue_bytes[queue_idx])
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -125,14 +108,9 @@ mod tests {
     }
 
     #[test]
-    fn queue_series_and_peak() {
-        let log = log_with(vec![
-            sample(0, 10, 0),
-            sample(SEC, 50, 0),
-            sample(2 * SEC, 20, 0),
-        ]);
-        assert_eq!(log.queue_peak(0), 50);
-        assert_eq!(log.queue_series(0)[1], (SEC, 50));
-        assert_eq!(log.queue_sum_series()[2], (2 * SEC, 20));
+    fn queue_sum_series_adds_the_queues_of_each_sample() {
+        let mut log = log_with(vec![sample(0, 10, 0), sample(SEC, 50, 0)]);
+        log.samples[1].queue_bytes.push(7);
+        assert_eq!(log.queue_sum_series(), vec![(0, 10), (SEC, 57)]);
     }
 }

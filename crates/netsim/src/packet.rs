@@ -161,6 +161,10 @@ pub struct Packet {
     pub in_link: Option<LinkId>,
 }
 
+/// Payload bytes of a full-size data packet: the default of
+/// [`crate::config::SimConfig::mtu_payload`] and the packetization of
+/// every host the topology builders lay.
+pub const MTU_PAYLOAD: u32 = 1000;
 /// Fixed header budget for data packets (Ethernet + IP + UDP + RoCE BTH +
 /// INT shim), matching the ns-3 RDMA models used by the paper.
 pub const DATA_HEADER_BYTES: u32 = 48;
@@ -207,8 +211,7 @@ impl Packet {
     }
 
     /// Build an ACK for `data`, carrying the cumulative received count.
-    pub fn ack_for(id: u64, data: &Packet, cumulative: u64, now: Time) -> Packet {
-        let _ = now;
+    pub fn ack_for(id: u64, data: &Packet, cumulative: u64) -> Packet {
         Packet {
             id,
             kind: PacketKind::Ack,
@@ -509,7 +512,7 @@ mod tests {
     fn ack_reverses_direction_and_echoes() {
         let mut d = Packet::data(1, FlowId(3), NodeId(0), NodeId(9), 4000, 1000, 77);
         d.ecn = true;
-        let a = Packet::ack_for(2, &d, 5000, 100);
+        let a = Packet::ack_for(2, &d, 5000);
         assert_eq!(a.kind, PacketKind::Ack);
         assert_eq!(a.src, NodeId(9));
         assert_eq!(a.dst, NodeId(0));

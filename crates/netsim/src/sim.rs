@@ -1316,7 +1316,7 @@ impl Simulator {
                     lk.queues.bytes(Priority::Data)
                 };
                 let hop = IntHop {
-                    hop_id: lk.hop_id,
+                    hop_id: lk.id.0,
                     ts: self.now,
                     qlen_bytes: qlen,
                     tx_bytes: lk.tx_bytes,

@@ -2,18 +2,25 @@
 //!
 //! * [`TwoDcTopology`] — Fig. 1: two datacenters, each with 2 spines and 4
 //!   leaves (racks), connected by DCI switches over a long-haul link.
+//! * [`MultiDcTopology`] — N ≥ 2 of the same spine-leaf datacenters,
+//!   joined pairwise by dedicated DCI switches over a long-haul mesh.
+//!   Both are laid by one wiring, so two islands are the two-DC fabric
+//!   node for node and link for link.
 //! * [`DumbbellTopology`] — the testbed of §4.6: 2 ToRs, 2 DCI switches,
 //!   2 servers per ToR.
 //! * [`FatTreeTopology`] — a k-ary fat-tree (hosts → edge → agg → core)
-//!   with a configurable oversubscription ratio, the canonical multipath
-//!   fabric for collective workloads.
-//! * [`MultiDcTopology`] — N ≥ 2 spine-leaf or fat-tree islands joined
-//!   pairwise by dedicated DCI switches over long-haul links.
+//!   whose hosts per edge switch set its oversubscription, the canonical
+//!   multipath fabric for collective workloads.
+//!
+//! The §4.1 link delays (1 µs to a server, 5 µs between switches), the
+//! 128 MB DCI buffer and the [`MTU_PAYLOAD`] are constants shared by all
+//! four builders.
 
 use crate::ecn::EcnConfig;
 use crate::host::Host;
 use crate::link::{Link, LinkOpts};
 use crate::node::Node;
+use crate::packet::MTU_PAYLOAD;
 use crate::pfc::PfcConfig;
 use crate::pfq::PfqSet;
 use crate::queue::PrioQueues;
@@ -102,7 +109,6 @@ impl NetBuilder {
                 busy: false,
                 tx_bytes: 0,
                 pfq_wake_at: None,
-                hop_id: id.0,
                 wire_seq: 0,
                 faults: None,
             });
@@ -198,12 +204,28 @@ const LONG_HAUL: LinkOpts = LinkOpts {
     long_haul: true,
     ecn: None,
 };
+/// Propagation delay of every server link (§4.1).
+const NIC_DELAY: Time = 1 * US;
+/// Propagation delay of every switch-to-switch link inside a datacenter.
+const SWITCH_DELAY: Time = 5 * US;
+/// Line rate of a server NIC (the default where it is a knob).
+const NIC_RATE: Bandwidth = 25 * GBPS;
+/// Line rate of a switch-to-switch link (the default where it is a knob).
+const FABRIC_RATE: Bandwidth = 100 * GBPS;
+/// Shared buffer of an intra-DC switch (the default where it is a knob).
+const SWITCH_BUFFER: u64 = 22_000_000;
+/// Shared buffer of a DCI switch (the default where it is a knob).
+const DCI_BUFFER: u64 = 128_000_000;
+/// Long-haul delay of the testbed dumbbell.
+const TESTBED_WAN_DELAY: Time = 1 * MS;
 
 // ---------------------------------------------------------------------------
-// The paper's two-DC spine-leaf topology (Fig. 1).
+// Spine-leaf datacenters: the paper's two-DC topology (Fig. 1) and its
+// N-island generalisation.
 // ---------------------------------------------------------------------------
 
-/// Parameters of the Fig. 1 topology, defaulting to the paper's §4.1 setup.
+/// Parameters of one Fig. 1 datacenter and its long haul, defaulting to
+/// the paper's §4.1 setup.
 #[derive(Clone, Copy, Debug)]
 pub struct TwoDcParams {
     pub spines_per_dc: usize,
@@ -212,14 +234,10 @@ pub struct TwoDcParams {
     pub server_link: Bandwidth,
     pub fabric_link: Bandwidth,
     pub long_haul_link: Bandwidth,
-    pub server_delay: Time,
-    pub fabric_delay: Time,
     pub long_haul_delay: Time,
     pub dc_switch_buffer: u64,
-    pub dci_switch_buffer: u64,
     /// PFC on intra-DC switches.
     pub pfc: PfcConfig,
-    pub mtu_payload: u32,
 }
 
 impl Default for TwoDcParams {
@@ -231,18 +249,108 @@ impl Default for TwoDcParams {
             // default here is paper-faithful. Scenarios scale it down
             // for quick runs.
             servers_per_leaf: 32,
-            server_link: 25 * GBPS,
-            fabric_link: 100 * GBPS,
+            server_link: NIC_RATE,
+            fabric_link: FABRIC_RATE,
             long_haul_link: 100 * GBPS,
-            server_delay: 1 * US,
-            fabric_delay: 5 * US,
             long_haul_delay: 3 * MS,
-            dc_switch_buffer: 22_000_000,
-            dci_switch_buffer: 128_000_000,
+            dc_switch_buffer: SWITCH_BUFFER,
             pfc: PfcConfig::dc_switch(),
-            mtu_payload: 1000,
         }
     }
+}
+
+/// `n` spine-leaf datacenters as [`wire_dcs`] laid them, indexed by DC.
+#[derive(Default)]
+struct Dcs {
+    /// `servers[dc][leaf][i]`.
+    servers: Vec<Vec<Vec<NodeId>>>,
+    leaves: Vec<Vec<NodeId>>,
+    spines: Vec<Vec<NodeId>>,
+    /// One DCI switch per peer DC, in peer order (the DC's own slot is
+    /// skipped).
+    dcis: Vec<Vec<NodeId>>,
+    /// DCI→spine (PFQ) and spine→DCI egresses, DCI-major.
+    dci_to_spine: Vec<Vec<LinkId>>,
+    spine_to_dci: Vec<Vec<LinkId>>,
+    /// `(a, b, [a→b, b→a])` per DC pair `a < b`, in lexicographic order.
+    long_haul: Vec<(usize, usize, [LinkId; 2])>,
+}
+
+/// Wire `n` Fig. 1 datacenters into `b`. Per DC: its leaves, its spines
+/// and one DCI per peer DC, then its servers with their links, then its
+/// leaf–spine links. Then every spine–DCI pair, with a PFQ on the
+/// DCI→spine egress, and last one long haul per DC pair, which makes
+/// both of its ends DCIs at [`NetBuilder::build`].
+fn wire_dcs(b: &mut NetBuilder, p: &TwoDcParams, n: usize) -> Dcs {
+    let mut w = Dcs::default();
+    for _dc in 0..n {
+        let leaves: Vec<NodeId> = (0..p.leaves_per_dc)
+            .map(|_| b.add_switch(p.dc_switch_buffer, p.pfc))
+            .collect();
+        let spines: Vec<NodeId> = (0..p.spines_per_dc)
+            .map(|_| b.add_switch(p.dc_switch_buffer, p.pfc))
+            .collect();
+        let dcis: Vec<NodeId> = (1..n)
+            .map(|_| b.add_switch(DCI_BUFFER, PfcConfig::disabled()))
+            .collect();
+        let mut servers = Vec::new();
+        for &leaf in &leaves {
+            let rack: Vec<NodeId> = (0..p.servers_per_leaf)
+                .map(|_| {
+                    let h = b.add_host();
+                    b.connect(h, leaf, p.server_link, NIC_DELAY, LinkOpts::default());
+                    h
+                })
+                .collect();
+            servers.push(rack);
+        }
+        for &leaf in &leaves {
+            for &spine in &spines {
+                b.connect(
+                    leaf,
+                    spine,
+                    p.fabric_link,
+                    SWITCH_DELAY,
+                    LinkOpts::default(),
+                );
+            }
+        }
+        w.servers.push(servers);
+        w.leaves.push(leaves);
+        w.spines.push(spines);
+        w.dcis.push(dcis);
+    }
+    for dc in 0..n {
+        let (mut d2s, mut s2d) = (Vec::new(), Vec::new());
+        for &dci in &w.dcis[dc] {
+            for &spine in &w.spines[dc] {
+                let (up, down) =
+                    b.connect(spine, dci, p.fabric_link, SWITCH_DELAY, LinkOpts::default());
+                // MLCC's per-flow queues start at the server line rate;
+                // they only activate under `DciFeatures::pfq_enabled`.
+                b.enable_pfq(down, p.server_link);
+                s2d.push(up);
+                d2s.push(down);
+            }
+        }
+        w.dci_to_spine.push(d2s);
+        w.spine_to_dci.push(s2d);
+    }
+    // Pair (a, c) joins a's DCI slot for peer c to c's slot for peer a.
+    let slot = |dc: usize, peer: usize| peer - usize::from(peer > dc);
+    for a in 0..n {
+        for c in a + 1..n {
+            let (fwd, rev) = b.connect(
+                w.dcis[a][slot(a, c)],
+                w.dcis[c][slot(c, a)],
+                p.long_haul_link,
+                p.long_haul_delay,
+                LONG_HAUL,
+            );
+            w.long_haul.push((a, c, [fwd, rev]));
+        }
+    }
+    w
 }
 
 /// Handles into the built two-DC network.
@@ -266,93 +374,18 @@ pub struct TwoDcTopology {
 
 impl TwoDcTopology {
     pub fn build(params: TwoDcParams) -> Self {
-        let mut b = NetBuilder::new(params.mtu_payload);
-        let mut servers = Vec::new();
-        let mut leaves = Vec::new();
-        let mut spines = Vec::new();
-        let mut dcis = Vec::new();
-
-        for _dc in 0..2 {
-            let dc_leaves: Vec<NodeId> = (0..params.leaves_per_dc)
-                .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
-                .collect();
-            let dc_spines: Vec<NodeId> = (0..params.spines_per_dc)
-                .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
-                .collect();
-            let dci = b.add_switch(params.dci_switch_buffer, PfcConfig::disabled());
-            let mut dc_servers = Vec::new();
-            for &leaf in &dc_leaves {
-                let rack: Vec<NodeId> = (0..params.servers_per_leaf)
-                    .map(|_| {
-                        let h = b.add_host();
-                        b.connect(
-                            h,
-                            leaf,
-                            params.server_link,
-                            params.server_delay,
-                            LinkOpts::default(),
-                        );
-                        h
-                    })
-                    .collect();
-                dc_servers.push(rack);
-            }
-            for &leaf in &dc_leaves {
-                for &spine in &dc_spines {
-                    b.connect(
-                        leaf,
-                        spine,
-                        params.fabric_link,
-                        params.fabric_delay,
-                        LinkOpts::default(),
-                    );
-                }
-            }
-            servers.push(dc_servers);
-            leaves.push(dc_leaves);
-            spines.push(dc_spines);
-            dcis.push(dci);
-        }
-
-        // Spine ↔ DCI links.
-        let mut dci_to_spine = vec![Vec::new(), Vec::new()];
-        let mut spine_to_dci = vec![Vec::new(), Vec::new()];
-        for dc in 0..2 {
-            for &spine in &spines[dc] {
-                let (s2d, d2s) = b.connect(
-                    spine,
-                    dcis[dc],
-                    params.fabric_link,
-                    params.fabric_delay,
-                    LinkOpts::default(),
-                );
-                spine_to_dci[dc].push(s2d);
-                dci_to_spine[dc].push(d2s);
-                // MLCC's per-flow queues start at the server line rate;
-                // they only activate under `DciFeatures::pfq_enabled`.
-                b.enable_pfq(d2s, params.server_link);
-            }
-        }
-
-        // Long-haul link: `build` makes both ends DCIs.
-        let (lh01, lh10) = b.connect(
-            dcis[0],
-            dcis[1],
-            params.long_haul_link,
-            params.long_haul_delay,
-            LONG_HAUL,
-        );
-
+        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let w = wire_dcs(&mut b, &params, 2);
         TwoDcTopology {
             net: b.build(),
             params,
-            servers,
-            leaves,
-            spines,
-            dcis,
-            long_haul: [lh01, lh10],
-            dci_to_spine,
-            spine_to_dci,
+            servers: w.servers,
+            leaves: w.leaves,
+            spines: w.spines,
+            dcis: w.dcis.iter().map(|d| d[0]).collect(),
+            long_haul: w.long_haul[0].2,
+            dci_to_spine: w.dci_to_spine,
+            spine_to_dci: w.spine_to_dci,
         }
     }
 
@@ -371,20 +404,104 @@ impl TwoDcTopology {
     }
 }
 
+/// Parameters of the multi-island fabric: `islands` copies of the
+/// spine-leaf datacenter `dc`.
+///
+/// Every island pair is joined by its own long-haul link between two
+/// dedicated DCI switches (one per side), so each DCI switch terminates
+/// exactly one long-haul pair — the two-DC wiring, replicated across
+/// the full island mesh. Shortest-path routing therefore never transits
+/// a third island.
+#[derive(Clone, Copy, Debug)]
+pub struct MultiDcParams {
+    /// Number of islands (≥ 2).
+    pub islands: usize,
+    pub dc: TwoDcParams,
+}
+
+impl Default for MultiDcParams {
+    fn default() -> Self {
+        MultiDcParams {
+            islands: 3,
+            dc: TwoDcParams {
+                leaves_per_dc: 2,
+                servers_per_leaf: 2,
+                ..TwoDcParams::default()
+            },
+        }
+    }
+}
+
+/// Handles into the built multi-island network.
+pub struct MultiDcTopology {
+    pub net: Network,
+    pub params: MultiDcParams,
+    /// `servers[island]`, flattened within each island.
+    pub servers: Vec<Vec<NodeId>>,
+    /// Intra-island switches (leaves then spines), per island.
+    pub island_switches: Vec<Vec<NodeId>>,
+    /// `dcis[island]` — one DCI switch per peer island, in peer order
+    /// (the slot for the island itself is skipped).
+    pub dcis: Vec<Vec<NodeId>>,
+    /// One entry per island pair `(a, b)` with `a < b`, in
+    /// lexicographic order: `[a→b, b→a]` long-haul links.
+    pub long_haul: Vec<(usize, usize, [LinkId; 2])>,
+}
+
+impl MultiDcTopology {
+    pub fn build(params: MultiDcParams) -> Self {
+        let dc = &params.dc;
+        assert!(params.islands >= 2, "need at least two islands");
+        assert!(
+            dc.spines_per_dc >= 1 && dc.leaves_per_dc >= 1 && dc.servers_per_leaf >= 1,
+            "degenerate spine-leaf island: {dc:?}"
+        );
+        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let w = wire_dcs(&mut b, dc, params.islands);
+        MultiDcTopology {
+            net: b.build(),
+            params,
+            servers: w.servers.iter().map(|s| s.concat()).collect(),
+            island_switches: w
+                .leaves
+                .iter()
+                .zip(&w.spines)
+                .map(|(l, s)| [l.as_slice(), s].concat())
+                .collect(),
+            dcis: w.dcis,
+            long_haul: w.long_haul,
+        }
+    }
+
+    /// The long-haul link pair between islands `a` and `b` as
+    /// `[a→b, b→a]` (order-insensitive in the arguments).
+    pub fn long_haul_pair(&self, a: usize, b: usize) -> [LinkId; 2] {
+        let (lo, hi, flip) = if a < b { (a, b, false) } else { (b, a, true) };
+        let &(_, _, [fwd, rev]) = self
+            .long_haul
+            .iter()
+            .find(|&&(x, y, _)| x == lo && y == hi)
+            .unwrap_or_else(|| panic!("no long haul between islands {a} and {b}"));
+        if flip {
+            [rev, fwd]
+        } else {
+            [fwd, rev]
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Testbed dumbbell (§4.6).
 // ---------------------------------------------------------------------------
 
-/// Parameters of the testbed dumbbell.
+/// Parameters of the testbed dumbbell. Its ToR–DCI links and its 1 ms
+/// long haul run at the 100 Gbps fabric rate.
 #[derive(Clone, Copy, Debug)]
 pub struct DumbbellParams {
     pub servers_per_tor: usize,
     pub nic_link: Bandwidth,
-    pub fabric_link: Bandwidth,
-    pub long_haul_delay: Time,
     pub tor_buffer: u64,
     pub dci_buffer: u64,
-    pub mtu_payload: u32,
     /// PFC profile of the ToR switches (DCIs always run PFC-disabled).
     pub pfc: PfcConfig,
 }
@@ -394,11 +511,8 @@ impl Default for DumbbellParams {
         DumbbellParams {
             servers_per_tor: 2,
             nic_link: 100 * GBPS,
-            fabric_link: 100 * GBPS,
-            long_haul_delay: 1 * MS,
-            tor_buffer: 22_000_000,
-            dci_buffer: 128_000_000,
-            mtu_payload: 1000,
+            tor_buffer: SWITCH_BUFFER,
+            dci_buffer: DCI_BUFFER,
             pfc: PfcConfig::dc_switch(),
         }
     }
@@ -418,7 +532,7 @@ pub struct DumbbellTopology {
 
 impl DumbbellTopology {
     pub fn build(params: DumbbellParams) -> Self {
-        let mut b = NetBuilder::new(params.mtu_payload);
+        let mut b = NetBuilder::new(MTU_PAYLOAD);
         let mut servers = Vec::new();
         let mut tors = Vec::new();
         let mut dcis = Vec::new();
@@ -429,24 +543,18 @@ impl DumbbellTopology {
             let side_servers: Vec<NodeId> = (0..params.servers_per_tor)
                 .map(|_| {
                     let h = b.add_host();
-                    b.connect(h, tor, params.nic_link, 1 * US, LinkOpts::default());
+                    b.connect(h, tor, params.nic_link, NIC_DELAY, LinkOpts::default());
                     h
                 })
                 .collect();
-            let (_t2d, d2t) = b.connect(tor, dci, params.fabric_link, 5 * US, LinkOpts::default());
+            let (_t2d, d2t) = b.connect(tor, dci, FABRIC_RATE, SWITCH_DELAY, LinkOpts::default());
             b.enable_pfq(d2t, params.nic_link);
             servers.push(side_servers);
             tors.push(tor);
             dcis.push(dci);
             dci_to_tor.push(d2t);
         }
-        let (lh01, lh10) = b.connect(
-            dcis[0],
-            dcis[1],
-            params.fabric_link,
-            params.long_haul_delay,
-            LONG_HAUL,
-        );
+        let (lh01, lh10) = b.connect(dcis[0], dcis[1], FABRIC_RATE, TESTBED_WAN_DELAY, LONG_HAUL);
         DumbbellTopology {
             net: b.build(),
             params,
@@ -463,26 +571,21 @@ impl DumbbellTopology {
 // k-ary fat-tree (hosts → edge → agg → core).
 // ---------------------------------------------------------------------------
 
-/// Parameters of a k-ary fat-tree.
+/// Parameters of a k-ary fat-tree with 25 Gbps hosts on a 100 Gbps
+/// fabric.
 ///
 /// The canonical k-ary fat-tree has `(k/2)²` core switches, `k` pods of
 /// `k/2` aggregation and `k/2` edge switches each, and `k/2` hosts per
-/// edge switch. `hosts_per_edge` is the oversubscription knob: with
-/// equal host and fabric speeds, `hosts_per_edge / (k/2)` is the
-/// edge-layer oversubscription ratio (1:1 at the canonical `k/2`).
+/// edge switch. `hosts_per_edge` is the oversubscription knob: see
+/// [`Self::oversubscription`].
 #[derive(Clone, Copy, Debug)]
 pub struct FatTreeParams {
     /// Port radix; must be even and ≥ 2.
     pub k: usize,
     /// Hosts attached to each edge switch (≥ 1).
     pub hosts_per_edge: usize,
-    pub host_link: Bandwidth,
-    pub fabric_link: Bandwidth,
-    pub host_delay: Time,
-    pub fabric_delay: Time,
     pub switch_buffer: u64,
     pub pfc: PfcConfig,
-    pub mtu_payload: u32,
 }
 
 impl Default for FatTreeParams {
@@ -490,13 +593,8 @@ impl Default for FatTreeParams {
         FatTreeParams {
             k: 4,
             hosts_per_edge: 2,
-            host_link: 25 * GBPS,
-            fabric_link: 100 * GBPS,
-            host_delay: 1 * US,
-            fabric_delay: 5 * US,
-            switch_buffer: 22_000_000,
+            switch_buffer: SWITCH_BUFFER,
             pfc: PfcConfig::dc_switch(),
-            mtu_payload: 1000,
         }
     }
 }
@@ -505,17 +603,7 @@ impl FatTreeParams {
     /// Edge-layer oversubscription ratio: host capacity entering an edge
     /// switch over its uplink capacity toward the aggs.
     pub fn oversubscription(&self) -> f64 {
-        (self.hosts_per_edge as f64 * self.host_link as f64)
-            / ((self.k / 2) as f64 * self.fabric_link as f64)
-    }
-
-    fn validate(&self) {
-        assert!(
-            self.k >= 2 && self.k.is_multiple_of(2),
-            "fat-tree k must be even and >= 2, got {}",
-            self.k
-        );
-        assert!(self.hosts_per_edge >= 1, "fat-tree needs hosts per edge");
+        (self.hosts_per_edge as f64 * NIC_RATE as f64) / ((self.k / 2) as f64 * FABRIC_RATE as f64)
     }
 }
 
@@ -535,18 +623,58 @@ pub struct FatTreeTopology {
 }
 
 impl FatTreeTopology {
-    pub fn build(params: FatTreeParams) -> Self {
-        params.validate();
-        let mut b = NetBuilder::new(params.mtu_payload);
-        let w = wire_fat_tree(&mut b, &params);
+    /// Wire the cores first, then per pod its aggs, its edges with their
+    /// hosts and edge–agg links, and its agg–core links.
+    pub fn build(p: FatTreeParams) -> Self {
+        assert!(
+            p.k >= 2 && p.k.is_multiple_of(2),
+            "fat-tree k must be even and >= 2, got {}",
+            p.k
+        );
+        assert!(p.hosts_per_edge >= 1, "fat-tree needs hosts per edge");
+        let half = p.k / 2;
+        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let cores: Vec<NodeId> = (0..half * half)
+            .map(|_| b.add_switch(p.switch_buffer, p.pfc))
+            .collect();
+        let (mut hosts, mut edges, mut aggs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut agg_core_links = Vec::new();
+        for _pod in 0..p.k {
+            let pod_aggs: Vec<NodeId> = (0..half)
+                .map(|_| b.add_switch(p.switch_buffer, p.pfc))
+                .collect();
+            let pod_edges: Vec<NodeId> = (0..half)
+                .map(|_| b.add_switch(p.switch_buffer, p.pfc))
+                .collect();
+            for &edge in &pod_edges {
+                for _ in 0..p.hosts_per_edge {
+                    let h = b.add_host();
+                    b.connect(h, edge, NIC_RATE, NIC_DELAY, LinkOpts::default());
+                    hosts.push(h);
+                }
+                for &agg in &pod_aggs {
+                    b.connect(edge, agg, FABRIC_RATE, SWITCH_DELAY, LinkOpts::default());
+                }
+            }
+            // Agg j serves the core group [j·k/2, (j+1)·k/2).
+            for (j, &agg) in pod_aggs.iter().enumerate() {
+                for &core in &cores[j * half..(j + 1) * half] {
+                    let (up, down) =
+                        b.connect(agg, core, FABRIC_RATE, SWITCH_DELAY, LinkOpts::default());
+                    agg_core_links.push([up, down]);
+                }
+            }
+            edges.push(pod_edges);
+            aggs.push(pod_aggs);
+        }
         FatTreeTopology {
             net: b.build(),
-            params,
-            hosts: w.hosts,
-            edges: w.edges,
-            aggs: w.aggs,
-            cores: w.cores,
-            agg_core_links: w.agg_core_links,
+            params: p,
+            hosts,
+            edges,
+            aggs,
+            cores,
+            agg_core_links,
         }
     }
 
@@ -558,326 +686,6 @@ impl FatTreeTopology {
             .zip(&self.aggs)
             .flat_map(|(e, a)| e.iter().chain(a.iter()).copied())
             .collect()
-    }
-}
-
-/// One fat-tree's nodes and agg ↔ core links, as [`wire_fat_tree`]
-/// added them to a builder.
-struct FatTreeWiring {
-    hosts: Vec<NodeId>,
-    edges: Vec<Vec<NodeId>>,
-    aggs: Vec<Vec<NodeId>>,
-    cores: Vec<NodeId>,
-    agg_core_links: Vec<[LinkId; 2]>,
-}
-
-/// Wire a k-ary fat-tree into `b`: the cores first, then per pod its
-/// aggs, its edges with their hosts and edge–agg links, and its agg–core
-/// links. [`FatTreeTopology`] and the fat-tree islands of
-/// [`MultiDcTopology`] both build through it.
-fn wire_fat_tree(b: &mut NetBuilder, p: &FatTreeParams) -> FatTreeWiring {
-    let half = p.k / 2;
-    let cores: Vec<NodeId> = (0..half * half)
-        .map(|_| b.add_switch(p.switch_buffer, p.pfc))
-        .collect();
-    let mut w = FatTreeWiring {
-        hosts: Vec::new(),
-        edges: Vec::new(),
-        aggs: Vec::new(),
-        cores,
-        agg_core_links: Vec::new(),
-    };
-    for _pod in 0..p.k {
-        let pod_aggs: Vec<NodeId> = (0..half)
-            .map(|_| b.add_switch(p.switch_buffer, p.pfc))
-            .collect();
-        let pod_edges: Vec<NodeId> = (0..half)
-            .map(|_| b.add_switch(p.switch_buffer, p.pfc))
-            .collect();
-        for &edge in &pod_edges {
-            for _ in 0..p.hosts_per_edge {
-                let h = b.add_host();
-                b.connect(h, edge, p.host_link, p.host_delay, LinkOpts::default());
-                w.hosts.push(h);
-            }
-            for &agg in &pod_aggs {
-                b.connect(
-                    edge,
-                    agg,
-                    p.fabric_link,
-                    p.fabric_delay,
-                    LinkOpts::default(),
-                );
-            }
-        }
-        // Agg j serves the core group [j·k/2, (j+1)·k/2).
-        for (j, &agg) in pod_aggs.iter().enumerate() {
-            for &core in &w.cores[j * half..(j + 1) * half] {
-                let (up, down) = b.connect(
-                    agg,
-                    core,
-                    p.fabric_link,
-                    p.fabric_delay,
-                    LinkOpts::default(),
-                );
-                w.agg_core_links.push([up, down]);
-            }
-        }
-        w.edges.push(pod_edges);
-        w.aggs.push(pod_aggs);
-    }
-    w
-}
-
-// ---------------------------------------------------------------------------
-// Multi-island fabric: N datacenters joined pairwise by long-haul links.
-// ---------------------------------------------------------------------------
-
-/// What each island of a [`MultiDcTopology`] looks like inside.
-#[derive(Clone, Copy, Debug)]
-pub enum IslandKind {
-    /// A Fig.-1-style spine-leaf datacenter.
-    SpineLeaf {
-        spines: usize,
-        leaves: usize,
-        servers_per_leaf: usize,
-    },
-    /// A k-ary fat-tree datacenter (DCI switches attach to the cores).
-    FatTree { k: usize, hosts_per_edge: usize },
-}
-
-/// Parameters of the multi-island fabric.
-///
-/// Every island pair is joined by its own long-haul link between two
-/// dedicated DCI switches (one per side), so each DCI switch terminates
-/// exactly one long-haul pair — the same per-pair wiring as the two-DC
-/// fabric, replicated across the full island mesh. Shortest-path
-/// routing therefore never transits a third island.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiDcParams {
-    /// Number of islands (≥ 2).
-    pub islands: usize,
-    pub island: IslandKind,
-    pub server_link: Bandwidth,
-    pub fabric_link: Bandwidth,
-    pub long_haul_link: Bandwidth,
-    pub server_delay: Time,
-    pub fabric_delay: Time,
-    pub long_haul_delay: Time,
-    pub dc_switch_buffer: u64,
-    pub dci_switch_buffer: u64,
-    pub pfc: PfcConfig,
-    pub mtu_payload: u32,
-}
-
-impl Default for MultiDcParams {
-    fn default() -> Self {
-        MultiDcParams {
-            islands: 3,
-            island: IslandKind::SpineLeaf {
-                spines: 2,
-                leaves: 2,
-                servers_per_leaf: 2,
-            },
-            server_link: 25 * GBPS,
-            fabric_link: 100 * GBPS,
-            long_haul_link: 100 * GBPS,
-            server_delay: 1 * US,
-            fabric_delay: 5 * US,
-            long_haul_delay: 3 * MS,
-            dc_switch_buffer: 22_000_000,
-            dci_switch_buffer: 128_000_000,
-            pfc: PfcConfig::dc_switch(),
-            mtu_payload: 1000,
-        }
-    }
-}
-
-impl MultiDcParams {
-    fn validate(&self) {
-        assert!(self.islands >= 2, "need at least two islands");
-        match self.island {
-            IslandKind::SpineLeaf {
-                spines,
-                leaves,
-                servers_per_leaf,
-            } => {
-                assert!(
-                    spines >= 1 && leaves >= 1 && servers_per_leaf >= 1,
-                    "degenerate spine-leaf island: {:?}",
-                    self.island
-                );
-            }
-            IslandKind::FatTree { k, hosts_per_edge } => {
-                assert!(
-                    k >= 2 && k % 2 == 0 && hosts_per_edge >= 1,
-                    "degenerate fat-tree island: {:?}",
-                    self.island
-                );
-            }
-        }
-    }
-}
-
-/// Handles into the built multi-island network.
-pub struct MultiDcTopology {
-    pub net: Network,
-    pub params: MultiDcParams,
-    /// `servers[island]`, flattened within each island.
-    pub servers: Vec<Vec<NodeId>>,
-    /// Intra-island switches (spine-leaf: leaves then spines; fat-tree:
-    /// edges then aggs then cores), per island.
-    pub island_switches: Vec<Vec<NodeId>>,
-    /// `dcis[island]` — one DCI switch per peer island, in peer order
-    /// (the slot for the island itself is skipped).
-    pub dcis: Vec<Vec<NodeId>>,
-    /// One entry per island pair `(a, b)` with `a < b`, in
-    /// lexicographic order: `[a→b, b→a]` long-haul links.
-    pub long_haul: Vec<(usize, usize, [LinkId; 2])>,
-}
-
-impl MultiDcTopology {
-    pub fn build(params: MultiDcParams) -> Self {
-        params.validate();
-        let n = params.islands;
-        let mut b = NetBuilder::new(params.mtu_payload);
-        let mut servers = Vec::new();
-        let mut island_switches = Vec::new();
-        let mut dcis: Vec<Vec<NodeId>> = Vec::new();
-        // Per island: the top-tier switches its DCI switches attach to.
-        let mut top_tiers: Vec<Vec<NodeId>> = Vec::new();
-
-        for _island in 0..n {
-            let (isl_servers, switches, top) = match params.island {
-                IslandKind::SpineLeaf {
-                    spines,
-                    leaves,
-                    servers_per_leaf,
-                } => {
-                    let isl_leaves: Vec<NodeId> = (0..leaves)
-                        .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
-                        .collect();
-                    let isl_spines: Vec<NodeId> = (0..spines)
-                        .map(|_| b.add_switch(params.dc_switch_buffer, params.pfc))
-                        .collect();
-                    let mut isl_servers = Vec::new();
-                    for &leaf in &isl_leaves {
-                        for _ in 0..servers_per_leaf {
-                            let h = b.add_host();
-                            b.connect(
-                                h,
-                                leaf,
-                                params.server_link,
-                                params.server_delay,
-                                LinkOpts::default(),
-                            );
-                            isl_servers.push(h);
-                        }
-                        for &spine in &isl_spines {
-                            b.connect(
-                                leaf,
-                                spine,
-                                params.fabric_link,
-                                params.fabric_delay,
-                                LinkOpts::default(),
-                            );
-                        }
-                    }
-                    let mut switches = isl_leaves.clone();
-                    switches.extend(&isl_spines);
-                    (isl_servers, switches, isl_spines)
-                }
-                IslandKind::FatTree { k, hosts_per_edge } => {
-                    let island = FatTreeParams {
-                        k,
-                        hosts_per_edge,
-                        host_link: params.server_link,
-                        fabric_link: params.fabric_link,
-                        host_delay: params.server_delay,
-                        fabric_delay: params.fabric_delay,
-                        switch_buffer: params.dc_switch_buffer,
-                        pfc: params.pfc,
-                        mtu_payload: params.mtu_payload,
-                    };
-                    let w = wire_fat_tree(&mut b, &island);
-                    let mut switches: Vec<NodeId> = w
-                        .edges
-                        .iter()
-                        .zip(&w.aggs)
-                        .flat_map(|(e, a)| e.iter().chain(a))
-                        .copied()
-                        .collect();
-                    switches.extend(&w.cores);
-                    (w.hosts, switches, w.cores)
-                }
-            };
-            // One DCI switch per peer island, attached to every top-tier
-            // switch; the toward-island egresses get PFQs exactly like the
-            // two-DC fabric.
-            let mut isl_dcis = Vec::new();
-            for _peer in 0..n - 1 {
-                let dci = b.add_switch(params.dci_switch_buffer, PfcConfig::disabled());
-                for &t in &top {
-                    let (_t2d, d2t) = b.connect(
-                        t,
-                        dci,
-                        params.fabric_link,
-                        params.fabric_delay,
-                        LinkOpts::default(),
-                    );
-                    b.enable_pfq(d2t, params.server_link);
-                }
-                isl_dcis.push(dci);
-            }
-            servers.push(isl_servers);
-            island_switches.push(switches);
-            top_tiers.push(top);
-            dcis.push(isl_dcis);
-        }
-
-        // Long-haul mesh: pair (a, b) uses a's DCI slot for peer b and
-        // b's slot for peer a (slots skip the island itself).
-        let slot = |island: usize, peer: usize| peer - usize::from(peer > island);
-        let mut long_haul = Vec::new();
-        for a in 0..n {
-            for bb in a + 1..n {
-                let da = dcis[a][slot(a, bb)];
-                let db = dcis[bb][slot(bb, a)];
-                let (fwd, rev) = b.connect(
-                    da,
-                    db,
-                    params.long_haul_link,
-                    params.long_haul_delay,
-                    LONG_HAUL,
-                );
-                long_haul.push((a, bb, [fwd, rev]));
-            }
-        }
-
-        MultiDcTopology {
-            net: b.build(),
-            params,
-            servers,
-            island_switches,
-            dcis,
-            long_haul,
-        }
-    }
-
-    /// The long-haul link pair between islands `a` and `b` as
-    /// `[a→b, b→a]` (order-insensitive in the arguments).
-    pub fn long_haul_pair(&self, a: usize, b: usize) -> [LinkId; 2] {
-        let (lo, hi, flip) = if a < b { (a, b, false) } else { (b, a, true) };
-        let &(_, _, [fwd, rev]) = self
-            .long_haul
-            .iter()
-            .find(|&&(x, y, _)| x == lo && y == hi)
-            .unwrap_or_else(|| panic!("no long haul between islands {a} and {b}"));
-        if flip {
-            [rev, fwd]
-        } else {
-            [fwd, rev]
-        }
     }
 }
 
@@ -1114,33 +922,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_dc_fat_tree_islands_build() {
-        let t = MultiDcTopology::build(MultiDcParams {
-            islands: 3,
-            island: IslandKind::FatTree {
-                k: 4,
-                hosts_per_edge: 1,
-            },
-            ..MultiDcParams::default()
-        });
-        assert_eq!(t.servers[0].len(), 8);
-        // edges + aggs + cores per island.
-        assert_eq!(t.island_switches[0].len(), 20);
-        // DCI switches attach to all 4 cores, with PFQ toward them.
-        for &dci in &t.dcis[0] {
-            let toward: Vec<_> = t
-                .net
-                .links
-                .iter()
-                .filter(|l| l.src == dci && !l.opts.long_haul)
-                .collect();
-            assert_eq!(toward.len(), 4);
-            assert!(toward.iter().all(|l| l.pfq.is_some()));
+    /// The two networks agree on every node's kind, buffer, PFC profile
+    /// and DCI role, and on every link's endpoints, rate, delay,
+    /// long-haul flag, ECN profile and PFQ presence.
+    fn assert_same_wiring(a: &Network, b: &Network) {
+        let node = |n: &Node| {
+            n.as_switch()
+                .map(|sw| (sw.buffer.capacity(), sw.pfc, sw.dci.is_some()))
+        };
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            assert_eq!(node(x), node(y), "node {i}");
         }
-        // Cross-island routing works from a fat-tree island.
-        let c = t.net.routes.candidates(t.servers[0][0], t.servers[2][7]);
-        assert_eq!(c.len(), 1);
+        let link = |l: &Link| {
+            let wire = (l.src, l.dst, l.bandwidth, l.delay, l.opts.long_haul);
+            (wire, l.ecn, l.pfq.is_some())
+        };
+        assert_eq!(a.links.len(), b.links.len());
+        for (x, y) in a.links.iter().zip(&b.links) {
+            assert_eq!(link(x), link(y), "link {:?}", x.id);
+        }
+    }
+
+    #[test]
+    fn two_islands_are_the_two_dc_fabric() {
+        let shapes = [
+            small_params(),
+            TwoDcParams {
+                spines_per_dc: 1,
+                leaves_per_dc: 3,
+                servers_per_leaf: 1,
+                fabric_link: 50 * GBPS,
+                ..TwoDcParams::default()
+            },
+        ];
+        for p in shapes {
+            let t = TwoDcTopology::build(p);
+            let m = MultiDcTopology::build(MultiDcParams { islands: 2, dc: p });
+            assert_same_wiring(&t.net, &m.net);
+            assert_eq!(t.dcis, vec![m.dcis[0][0], m.dcis[1][0]]);
+            assert_eq!(t.long_haul, m.long_haul_pair(0, 1));
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Flight recorder: an optional, bounded, filterable event trace.
+//! Flight recorder: an optional, bounded event trace.
 //!
 //! Congestion-control bugs in a packet simulator are miserable to debug
 //! from aggregates alone. The tracer records a compact record per
 //! noteworthy event — flow lifecycle, drops, PFC transitions, per-flow
-//! packet milestones — into a bounded ring, optionally filtered to one
-//! flow. It is off by default and costs one branch per hook when off.
+//! packet milestones — into a bounded ring. It is off by default and
+//! costs one branch per hook when off.
 
 use std::collections::VecDeque;
 
@@ -91,78 +91,30 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Bounded, optionally flow-filtered trace.
+/// Bounded trace.
 #[derive(Debug)]
 pub struct Trace {
     records: VecDeque<TraceRecord>,
     capacity: usize,
-    /// Restrict flow-scoped events to this flow (node-scoped events like
-    /// PFC are always kept).
-    pub flow_filter: Option<FlowId>,
     /// Records discarded because the ring was full.
     pub dropped_records: u64,
 }
 
-/// Cap on the eager ring preallocation done by [`Trace::new`], in
-/// records. Callers that want a different reservation (e.g. the full
-/// ring up front so recording never reallocates) use
-/// [`Trace::with_prealloc`] and say so explicitly.
-pub const DEFAULT_PREALLOC_RECORDS: usize = 1 << 20;
-
 impl Trace {
     /// A trace holding up to `capacity` records (oldest evicted first).
-    /// Reserves up to [`DEFAULT_PREALLOC_RECORDS`] records immediately;
-    /// larger rings grow on demand.
+    /// Reserves up to 2^20 records immediately; larger rings grow on
+    /// demand.
     pub fn new(capacity: usize) -> Self {
-        Trace::with_prealloc(capacity, capacity.min(DEFAULT_PREALLOC_RECORDS))
-    }
-
-    /// A trace holding up to `capacity` records, with exactly
-    /// `prealloc` records (clamped to `capacity`) reserved up front.
-    /// `with_prealloc(c, c)` guarantees recording never reallocates.
-    pub fn with_prealloc(capacity: usize, prealloc: usize) -> Self {
         let capacity = capacity.max(1);
         Trace {
-            records: VecDeque::with_capacity(prealloc.min(capacity)),
+            records: VecDeque::with_capacity(capacity.min(1 << 20)),
             capacity,
-            flow_filter: None,
             dropped_records: 0,
-        }
-    }
-
-    /// Keep only events of `flow` (plus node-scoped events).
-    pub fn with_flow_filter(mut self, flow: FlowId) -> Self {
-        self.flow_filter = Some(flow);
-        self
-    }
-
-    fn admits(&self, event: &TraceEvent) -> bool {
-        let Some(want) = self.flow_filter else {
-            return true;
-        };
-        match event {
-            TraceEvent::FlowStarted { flow, .. }
-            | TraceEvent::FlowCompleted { flow, .. }
-            | TraceEvent::PacketDropped { flow, .. }
-            | TraceEvent::Retransmit { flow, .. }
-            | TraceEvent::PfqCreated { flow, .. }
-            | TraceEvent::PacketLost { flow, .. }
-            | TraceEvent::PacketBlackholed { flow, .. }
-            | TraceEvent::FlowFailed { flow, .. } => *flow == want,
-            TraceEvent::PfcPause { .. }
-            | TraceEvent::PfcResume { .. }
-            | TraceEvent::LinkDown { .. }
-            | TraceEvent::LinkUp { .. }
-            | TraceEvent::NodeDown { .. }
-            | TraceEvent::NodeUp { .. } => true,
         }
     }
 
     /// Record an event.
     pub fn record(&mut self, t: Time, event: TraceEvent) {
-        if !self.admits(&event) {
-            return;
-        }
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped_records += 1;
@@ -239,39 +191,6 @@ mod tests {
         assert_eq!(t.dropped_records, 2);
         let first = t.records().next().unwrap();
         assert_eq!(first.t, 2, "oldest two were evicted");
-    }
-
-    #[test]
-    fn flow_filter_keeps_node_events() {
-        let mut t = Trace::new(16).with_flow_filter(FlowId(7));
-        t.record(0, started(1)); // filtered out
-        t.record(1, started(7)); // kept
-        t.record(
-            2,
-            TraceEvent::PfcPause {
-                at: NodeId(3),
-                ingress: LinkId(0),
-            },
-        ); // node-scoped: kept
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.count(|e| matches!(e, TraceEvent::PfcPause { .. })), 1);
-    }
-
-    #[test]
-    fn explicit_prealloc_reserves_full_ring() {
-        // Full-ring reservation: capacity never changes while recording.
-        let mut t = Trace::with_prealloc(100, 100);
-        let cap0 = t.records.capacity();
-        assert!(cap0 >= 100);
-        for i in 0..250 {
-            t.record(i, started(i as u32));
-        }
-        assert_eq!(t.records.capacity(), cap0, "ring must not reallocate");
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.dropped_records, 150);
-        // Zero prealloc is also explicit and valid: grows lazily.
-        let lazy = Trace::with_prealloc(100, 0);
-        assert_eq!(lazy.records.capacity(), 0);
     }
 
     #[test]

@@ -176,3 +176,51 @@ fn fault_free_runs_carry_completed_outcomes() {
     }
     assert_eq!(sim.out.failed().count(), 0);
 }
+
+/// Metamorphic relation: a flow that starts after `stop_time` is a
+/// no-op. Adding one to a 100 ms two-DC MLCC run leaves the other
+/// flows' FCTs and outcomes and the ECN mark count unchanged, and the
+/// late flow ends `Unfinished` with nothing acked. (The event count is
+/// not compared: the run stays live until `stop_time` while the late
+/// flow is pending.)
+#[test]
+fn flow_starting_after_stop_time_is_a_no_op() {
+    let run = |late: bool| {
+        let topo = TwoDcTopology::build(TwoDcParams {
+            servers_per_leaf: 2,
+            ..TwoDcParams::default()
+        });
+        let cfg = SimConfig {
+            stop_time: 100 * MS,
+            dci: DciFeatures::mlcc(),
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let flows = [
+            (topo.server(1, 0), topo.server(5, 0), 2_000_000, 0),
+            (topo.server(2, 0), topo.server(5, 0), 2_000_000, 10 * US),
+            (topo.server(6, 1), topo.server(3, 1), 500_000, 20 * US),
+            (topo.server(1, 1), topo.server(5, 1), 1_000_000, 200 * MS),
+        ];
+        let mut sim = Simulator::new(topo.net, cfg, Box::new(MlccFactory::default()));
+        for &(src, dst, size, start) in &flows[..3 + usize::from(late)] {
+            sim.add_flow(src, dst, size, start);
+        }
+        sim.run_until_flows_complete();
+        sim.out
+    };
+    let (base, with_late) = (run(false), run(true));
+    let fcts = |out: &SimOutput| -> Vec<(FlowId, Time)> {
+        out.fcts.iter().map(|f| (f.flow, f.fct())).collect()
+    };
+    assert_eq!(base.fcts.len(), 3, "the three early flows complete");
+    assert_eq!(fcts(&with_late), fcts(&base));
+    assert!(base.ecn_marks > 0, "the incast must mark");
+    assert_eq!(with_late.ecn_marks, base.ecn_marks);
+    let (late, early): (Vec<OutcomeRecord>, Vec<OutcomeRecord>) =
+        with_late.outcomes.iter().partition(|o| o.flow == FlowId(3));
+    assert_eq!(early, base.outcomes);
+    assert_eq!(late.len(), 1);
+    assert_eq!(late[0].outcome, FlowOutcome::Failed(FailReason::Unfinished));
+    assert_eq!(late[0].bytes_acked, 0);
+}
