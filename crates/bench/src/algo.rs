@@ -39,10 +39,10 @@ impl Algo {
     /// Per-flow congestion-control factory.
     pub fn factory(self) -> Box<dyn CcFactory> {
         match self {
-            Algo::Dcqcn => Box::new(DcqcnFactory::default()),
-            Algo::Timely => Box::new(TimelyFactory::default()),
-            Algo::Hpcc => Box::new(HpccFactory::default()),
-            Algo::PowerTcp => Box::new(PowerTcpFactory::default()),
+            Algo::Dcqcn => Box::new(DcqcnFactory),
+            Algo::Timely => Box::new(TimelyFactory),
+            Algo::Hpcc => Box::new(HpccFactory),
+            Algo::PowerTcp => Box::new(PowerTcpFactory),
             Algo::Mlcc => Box::new(MlccFactory::default()),
         }
     }

@@ -11,7 +11,7 @@ use cc_baselines::DcqcnFactory;
 use mlcc_bench::scenarios::large_scale::{run, run_custom, LargeScaleConfig};
 use mlcc_bench::scenarios::{run_parallel, RunSummary};
 use mlcc_bench::Algo;
-use mlcc_core::{HybridFactory, MlccParams};
+use mlcc_core::HybridFactory;
 use netsim::config::DciFeatures;
 use simstats::TextTable;
 use workload::TrafficMix;
@@ -22,10 +22,7 @@ fn main() {
         Box::new(move || ("DCQCN", run(Algo::Dcqcn, cfg))),
         Box::new(move || {
             let summary = run_custom(
-                Box::new(HybridFactory::new(
-                    DcqcnFactory::default(),
-                    MlccParams::default(),
-                )),
+                Box::new(HybridFactory::new(DcqcnFactory)),
                 DciFeatures {
                     // The legacy sender ignores Switch-INT, so the
                     // near-source loop stays off.

@@ -14,46 +14,26 @@ use netsim::cc::MIN_SEND_RATE_BPS;
 use netsim::cc::{clamp_rate, AckView, SenderCc};
 use netsim::units::{Time, MBPS, US};
 
-/// DCQCN parameters, defaulting to the HPCC paper's suggested tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct DcqcnParams {
-    /// EWMA gain for α.
-    pub g: f64,
-    /// α decay / rate-increase timer period.
-    pub alpha_timer: Time,
-    pub increase_timer: Time,
-    /// Byte counter threshold for a rate-increase event.
-    pub byte_counter: u64,
-    /// Stages of fast recovery before additive increase.
-    pub fast_recovery_stages: u32,
-    /// Additive increase step, bits/s.
-    pub rate_ai: f64,
-    /// Hyper increase step, bits/s.
-    pub rate_hai: f64,
-    /// Cap in-flight bytes at this many base-RTT BDPs (the ns-3 RDMA
-    /// models' `win` option). 0 disables the cap — the paper's DCQCN has
-    /// no window, which is what lets cross-DC flows flood deep buffers.
-    pub window_bdps: f64,
-}
+// Parameters: the HPCC paper's suggested tuning.
+/// EWMA gain for α.
+const G: f64 = 1.0 / 256.0;
+/// α decay timer period.
+const ALPHA_TIMER: Time = 55 * US;
+/// Rate-increase timer period.
+const INCREASE_TIMER: Time = 55 * US;
+/// Byte counter threshold for a rate-increase event.
+const BYTE_COUNTER: u64 = 10_000_000;
+/// Stages of fast recovery before additive increase.
+const FAST_RECOVERY_STAGES: u32 = 5;
+/// Additive increase step, bits/s.
+const RATE_AI: f64 = 40.0 * MBPS as f64;
+/// Hyper increase step, bits/s.
+const RATE_HAI: f64 = 400.0 * MBPS as f64;
 
-impl Default for DcqcnParams {
-    fn default() -> Self {
-        DcqcnParams {
-            g: 1.0 / 256.0,
-            alpha_timer: 55 * US,
-            increase_timer: 55 * US,
-            byte_counter: 10_000_000,
-            fast_recovery_stages: 5,
-            rate_ai: 40.0 * MBPS as f64,
-            rate_hai: 400.0 * MBPS as f64,
-            window_bdps: 0.0,
-        }
-    }
-}
-
-/// DCQCN sender state for one flow.
+/// DCQCN sender state for one flow. Like the paper's DCQCN it has no
+/// in-flight window, which is what lets cross-DC flows flood deep
+/// buffers.
 pub struct Dcqcn {
-    p: DcqcnParams,
     line_rate: f64,
     /// Current rate Rc.
     rc: f64,
@@ -71,21 +51,11 @@ pub struct Dcqcn {
     /// Whether any CNP was received since the last α update (the α decay
     /// only runs in CNP-free periods).
     cnp_since_alpha: bool,
-    pub cnps_received: u64,
-    /// Optional in-flight cap, bytes.
-    window: Option<u64>,
 }
 
 impl Dcqcn {
-    pub fn new(p: DcqcnParams, line_rate_bps: u64, t0: Time) -> Self {
-        Self::with_window(p, line_rate_bps, t0, None)
-    }
-
-    /// With an explicit in-flight cap (computed by the factory from the
-    /// flow's base RTT when `window_bdps > 0`).
-    pub fn with_window(p: DcqcnParams, line_rate_bps: u64, t0: Time, window: Option<u64>) -> Self {
+    pub fn new(line_rate_bps: u64, t0: Time) -> Self {
         Dcqcn {
-            p,
             line_rate: line_rate_bps as f64,
             rc: line_rate_bps as f64,
             rt: line_rate_bps as f64,
@@ -93,11 +63,9 @@ impl Dcqcn {
             t_stage: 0,
             bc_stage: 0,
             bytes_since_event: 0,
-            alpha_deadline: t0 + p.alpha_timer,
-            increase_deadline: t0 + p.increase_timer,
+            alpha_deadline: t0 + ALPHA_TIMER,
+            increase_deadline: t0 + INCREASE_TIMER,
             cnp_since_alpha: false,
-            cnps_received: 0,
-            window,
         }
     }
 
@@ -107,16 +75,16 @@ impl Dcqcn {
     }
 
     fn rate_increase_event(&mut self) {
-        let f = self.p.fast_recovery_stages;
+        let f = FAST_RECOVERY_STAGES;
         let t = self.t_stage;
         let b = self.bc_stage;
         if t > f && b > f {
             // Hyper increase: both counters past fast recovery.
             let i = (t.min(b) - f) as f64;
-            self.rt += i * self.p.rate_hai;
+            self.rt += i * RATE_HAI;
         } else if t > f || b > f {
             // Additive increase.
-            self.rt += self.p.rate_ai;
+            self.rt += RATE_AI;
         }
         // Fast recovery and all later stages average toward the target.
         self.rt = self.rt.min(self.line_rate);
@@ -130,23 +98,22 @@ impl SenderCc for Dcqcn {
     }
 
     fn on_cnp(&mut self, now: Time) {
-        self.cnps_received += 1;
         self.cnp_since_alpha = true;
-        self.alpha = (1.0 - self.p.g) * self.alpha + self.p.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.rt = self.rc;
         self.rc = clamp_rate(self.rc * (1.0 - self.alpha / 2.0), self.line_rate as u64);
         // Reset the recovery machinery.
         self.t_stage = 0;
         self.bc_stage = 0;
         self.bytes_since_event = 0;
-        self.alpha_deadline = now + self.p.alpha_timer;
-        self.increase_deadline = now + self.p.increase_timer;
+        self.alpha_deadline = now + ALPHA_TIMER;
+        self.increase_deadline = now + INCREASE_TIMER;
     }
 
     fn on_sent(&mut self, bytes: u64, _now: Time) {
         self.bytes_since_event += bytes;
-        while self.bytes_since_event >= self.p.byte_counter {
-            self.bytes_since_event -= self.p.byte_counter;
+        while self.bytes_since_event >= BYTE_COUNTER {
+            self.bytes_since_event -= BYTE_COUNTER;
             self.bc_stage += 1;
             self.rate_increase_event();
         }
@@ -155,24 +122,20 @@ impl SenderCc for Dcqcn {
     fn on_timer(&mut self, now: Time) {
         if now >= self.alpha_deadline {
             if !self.cnp_since_alpha {
-                self.alpha *= 1.0 - self.p.g;
+                self.alpha *= 1.0 - G;
             }
             self.cnp_since_alpha = false;
-            self.alpha_deadline = now + self.p.alpha_timer;
+            self.alpha_deadline = now + ALPHA_TIMER;
         }
         if now >= self.increase_deadline {
             self.t_stage += 1;
             self.rate_increase_event();
-            self.increase_deadline = now + self.p.increase_timer;
+            self.increase_deadline = now + INCREASE_TIMER;
         }
     }
 
     fn rate_bps(&self) -> f64 {
         self.rc
-    }
-
-    fn window_bytes(&self) -> Option<u64> {
-        self.window
     }
 
     fn next_timer(&self) -> Option<Time> {
@@ -192,7 +155,7 @@ mod tests {
     const LINE: u64 = 25 * GBPS;
 
     fn fresh() -> Dcqcn {
-        Dcqcn::new(DcqcnParams::default(), LINE, 0)
+        Dcqcn::new(LINE, 0)
     }
 
     #[test]
@@ -261,7 +224,7 @@ mod tests {
         // byte-counter events together (needed for hyper increase).
         for _ in 0..20 {
             d.on_timer(t);
-            d.on_sent(DcqcnParams::default().byte_counter, t);
+            d.on_sent(BYTE_COUNTER, t);
             t = d.next_timer().unwrap();
         }
         assert!(d.rate_bps() > r_after_cut);
@@ -285,19 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn optional_window_caps_inflight() {
-        let d = Dcqcn::with_window(DcqcnParams::default(), LINE, 0, Some(64_000));
-        assert_eq!(d.window_bytes(), Some(64_000));
-        let d2 = fresh();
-        assert_eq!(d2.window_bytes(), None, "paper configuration: no window");
-    }
-
-    #[test]
     fn byte_counter_triggers_increase_without_timer() {
         let mut d = fresh();
         d.on_cnp(0);
         let r0 = d.rate_bps();
-        d.on_sent(DcqcnParams::default().byte_counter * 3, 0);
+        d.on_sent(BYTE_COUNTER * 3, 0);
         assert!(d.rate_bps() > r0, "byte counter alone must drive recovery");
     }
 }

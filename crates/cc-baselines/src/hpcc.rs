@@ -12,32 +12,18 @@ use netsim::cc::{clamp_rate, AckView, SenderCc};
 use netsim::int::HopHistory;
 use netsim::units::{bytes_in, Bandwidth, Time, SEC};
 
-/// HPCC parameters (paper defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct HpccParams {
-    /// Target utilization η.
-    pub eta: f64,
-    /// Additive-increase rounds allowed before a multiplicative pass.
-    pub max_stage: u32,
-    /// Additive increase per update, bytes. The paper uses
-    /// `W_AI = Wmax·(1-η)/N`; we default to N = 16 expected concurrent
-    /// flows and compute it from the line-rate BDP at construction.
-    pub wai_flows: u32,
-}
-
-impl Default for HpccParams {
-    fn default() -> Self {
-        HpccParams {
-            eta: 0.95,
-            max_stage: 5,
-            wai_flows: 16,
-        }
-    }
-}
+// Parameters: the paper's defaults.
+/// Target utilization η.
+const ETA: f64 = 0.95;
+/// Additive-increase rounds allowed before a multiplicative pass.
+const MAX_STAGE: u32 = 5;
+/// Expected concurrent flows N in the paper's additive increase
+/// `W_AI = Wmax·(1-η)/N`, computed from the line-rate BDP at
+/// construction.
+const WAI_FLOWS: u32 = 16;
 
 /// HPCC sender state for one flow.
 pub struct Hpcc {
-    p: HpccParams,
     line_rate: f64,
     base_rtt: Time,
     /// Maximum window: one line-rate BDP.
@@ -59,11 +45,10 @@ pub struct Hpcc {
 }
 
 impl Hpcc {
-    pub fn new(p: HpccParams, line_rate_bps: Bandwidth, base_rtt: Time) -> Self {
+    pub fn new(line_rate_bps: Bandwidth, base_rtt: Time) -> Self {
         let w_max = bytes_in(base_rtt, line_rate_bps) as f64;
-        let w_ai = (w_max * (1.0 - p.eta) / p.wai_flows as f64).max(1.0);
+        let w_ai = (w_max * (1.0 - ETA) / WAI_FLOWS as f64).max(1.0);
         Hpcc {
-            p,
             line_rate: line_rate_bps as f64,
             base_rtt,
             w_max,
@@ -100,8 +85,8 @@ impl SenderCc for Hpcc {
         let Some(u) = self.hops.max_utilization(ack.int, self.base_rtt, |_| true) else {
             return;
         };
-        if u >= self.p.eta || self.inc_stage >= self.p.max_stage {
-            self.w = self.w_c / (u / self.p.eta) + self.w_ai;
+        if u >= ETA || self.inc_stage >= MAX_STAGE {
+            self.w = self.w_c / (u / ETA) + self.w_ai;
         } else {
             self.w = self.w_c + self.w_ai;
         }
@@ -109,11 +94,7 @@ impl SenderCc for Hpcc {
         // Reference update once per RTT (window's worth of bytes acked).
         if ack.seq >= self.update_seq {
             self.w_c = self.w;
-            self.inc_stage = if u >= self.p.eta {
-                0
-            } else {
-                self.inc_stage + 1
-            };
+            self.inc_stage = if u >= ETA { 0 } else { self.inc_stage + 1 };
             self.update_seq = ack.seq + self.w as u64;
         }
     }
@@ -168,7 +149,7 @@ mod tests {
 
     #[test]
     fn starts_at_bdp_window() {
-        let h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let h = Hpcc::new(LINE, BASE);
         let bdp = bytes_in(BASE, LINE) as f64;
         assert_eq!(h.window(), bdp);
         assert!(h.window_bytes().is_some());
@@ -176,7 +157,7 @@ mod tests {
 
     #[test]
     fn overload_shrinks_window() {
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let mut h = Hpcc::new(LINE, BASE);
         let w0 = h.window();
         // Hop at 2× line utilization: big standing queue + full rate.
         let bdp = bytes_in(BASE, LINE);
@@ -187,7 +168,7 @@ mod tests {
 
     #[test]
     fn underload_grows_additively() {
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let mut h = Hpcc::new(LINE, BASE);
         h.w_c = h.w_max / 4.0;
         h.w = h.w_c;
         h.update_seq = 0;
@@ -207,8 +188,8 @@ mod tests {
     #[test]
     fn utilization_one_is_stable() {
         // At exactly η utilization the window stays near the reference.
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
-        let per_rtt = (bytes_in(BASE, LINE) as f64 * h.p.eta) as u64;
+        let mut h = Hpcc::new(LINE, BASE);
+        let per_rtt = (bytes_in(BASE, LINE) as f64 * ETA) as u64;
         let mut tx = 0;
         feed(&mut h, 1, hop(0, 0, tx));
         for i in 1..20u64 {
@@ -222,7 +203,7 @@ mod tests {
 
     #[test]
     fn window_never_exceeds_bdp_or_underflows() {
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let mut h = Hpcc::new(LINE, BASE);
         let bdp = bytes_in(BASE, LINE);
         // Wild inputs.
         feed(&mut h, 1, hop(0, 0, 0));
@@ -236,7 +217,7 @@ mod tests {
 
     #[test]
     fn stale_gap_reprimes_instead_of_differencing() {
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let mut h = Hpcc::new(LINE, BASE);
         let bdp = bytes_in(BASE, LINE);
         feed(&mut h, 1, hop(0, 0, 0));
         feed(&mut h, 1000, hop(BASE, 0, (bdp as f64 * 0.95) as u64));
@@ -254,7 +235,7 @@ mod tests {
 
     #[test]
     fn rate_tracks_window() {
-        let mut h = Hpcc::new(HpccParams::default(), LINE, BASE);
+        let mut h = Hpcc::new(LINE, BASE);
         let r0 = h.rate_bps();
         assert!((r0 - LINE as f64).abs() / (LINE as f64) < 0.01);
         let bdp = bytes_in(BASE, LINE);

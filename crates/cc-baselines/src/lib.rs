@@ -17,6 +17,10 @@
 //! All four rely on **end-to-end** feedback: for a cross-datacenter flow
 //! the control loop is the full ~6 ms RTT, which is exactly the weakness
 //! the paper's MLCC addresses with its micro loops.
+//!
+//! Each algorithm runs with its published defaults, fixed as constants in
+//! its module: the paper's evaluation varies none of them, so the
+//! factories are unit structs.
 
 pub mod dcqcn;
 pub mod hpcc;
@@ -26,36 +30,23 @@ pub mod timely;
 use netsim::cc::{
     CcEnv, CcFactory, EcnCnpReceiver, IntEchoReceiver, PlainReceiver, ReceiverCc, SenderCc,
 };
-use netsim::units::US;
 
-pub use dcqcn::{Dcqcn, DcqcnParams};
-pub use hpcc::{Hpcc, HpccParams};
-pub use powertcp::{PowerTcp, PowerTcpParams};
-pub use timely::{Timely, TimelyParams};
+pub use dcqcn::Dcqcn;
+pub use hpcc::Hpcc;
+pub use powertcp::PowerTcp;
+pub use timely::Timely;
 
-/// Factory for DCQCN flows (receiver: CNP on CE marks, 50 µs pacing).
+/// Factory for DCQCN flows (receiver: CNP on CE marks, paced by
+/// [`netsim::cc::CNP_INTERVAL`]).
 #[derive(Default)]
-pub struct DcqcnFactory {
-    pub params: DcqcnParams,
-}
+pub struct DcqcnFactory;
 
 impl CcFactory for DcqcnFactory {
     fn sender(&self, env: &CcEnv) -> Box<dyn SenderCc> {
-        let window = if self.params.window_bdps > 0.0 {
-            let bdp = netsim::units::bytes_in(env.path.base_rtt, env.path.line_rate_bps);
-            Some(((bdp as f64) * self.params.window_bdps) as u64)
-        } else {
-            None
-        };
-        Box::new(Dcqcn::with_window(
-            self.params,
-            env.path.line_rate_bps,
-            env.flow.start,
-            window,
-        ))
+        Box::new(Dcqcn::new(env.path.line_rate_bps, env.flow.start))
     }
     fn receiver(&self, _env: &CcEnv) -> Box<dyn ReceiverCc> {
-        Box::new(EcnCnpReceiver::new(50 * US))
+        Box::new(EcnCnpReceiver::default())
     }
     fn name(&self) -> &'static str {
         "dcqcn"
@@ -64,17 +55,11 @@ impl CcFactory for DcqcnFactory {
 
 /// Factory for Timely flows (receiver: plain ACKs with RTT echo).
 #[derive(Default)]
-pub struct TimelyFactory {
-    pub params: TimelyParams,
-}
+pub struct TimelyFactory;
 
 impl CcFactory for TimelyFactory {
     fn sender(&self, env: &CcEnv) -> Box<dyn SenderCc> {
-        Box::new(Timely::new(
-            self.params,
-            env.path.line_rate_bps,
-            env.path.base_rtt,
-        ))
+        Box::new(Timely::new(env.path.line_rate_bps, env.path.base_rtt))
     }
     fn receiver(&self, _env: &CcEnv) -> Box<dyn ReceiverCc> {
         Box::new(PlainReceiver)
@@ -86,17 +71,11 @@ impl CcFactory for TimelyFactory {
 
 /// Factory for HPCC flows (receiver: INT echo on every ACK).
 #[derive(Default)]
-pub struct HpccFactory {
-    pub params: HpccParams,
-}
+pub struct HpccFactory;
 
 impl CcFactory for HpccFactory {
     fn sender(&self, env: &CcEnv) -> Box<dyn SenderCc> {
-        Box::new(Hpcc::new(
-            self.params,
-            env.path.line_rate_bps,
-            env.path.base_rtt,
-        ))
+        Box::new(Hpcc::new(env.path.line_rate_bps, env.path.base_rtt))
     }
     fn receiver(&self, _env: &CcEnv) -> Box<dyn ReceiverCc> {
         Box::new(IntEchoReceiver)
@@ -108,17 +87,11 @@ impl CcFactory for HpccFactory {
 
 /// Factory for PowerTCP flows (receiver: INT echo on every ACK).
 #[derive(Default)]
-pub struct PowerTcpFactory {
-    pub params: PowerTcpParams,
-}
+pub struct PowerTcpFactory;
 
 impl CcFactory for PowerTcpFactory {
     fn sender(&self, env: &CcEnv) -> Box<dyn SenderCc> {
-        Box::new(PowerTcp::new(
-            self.params,
-            env.path.line_rate_bps,
-            env.path.base_rtt,
-        ))
+        Box::new(PowerTcp::new(env.path.line_rate_bps, env.path.base_rtt))
     }
     fn receiver(&self, _env: &CcEnv) -> Box<dyn ReceiverCc> {
         Box::new(IntEchoReceiver)
@@ -157,14 +130,13 @@ mod tests {
         }
     }
 
-    /// Each factory with its default parameters, and whether its sender
-    /// is window-based.
+    /// Each factory, and whether its sender is window-based.
     fn factories() -> [(Box<dyn CcFactory>, bool); 4] {
         [
-            (Box::new(DcqcnFactory::default()), false),
-            (Box::new(TimelyFactory::default()), false),
-            (Box::new(HpccFactory::default()), true),
-            (Box::new(PowerTcpFactory::default()), true),
+            (Box::new(DcqcnFactory), false),
+            (Box::new(TimelyFactory), false),
+            (Box::new(HpccFactory), true),
+            (Box::new(PowerTcpFactory), true),
         ]
     }
 

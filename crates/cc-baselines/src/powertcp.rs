@@ -13,29 +13,16 @@ use netsim::cc::{clamp_rate, AckView, SenderCc};
 use netsim::int::IntHop;
 use netsim::units::{bytes_in, rate_bps, Bandwidth, Time, SEC};
 
-/// PowerTCP parameters (paper defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct PowerTcpParams {
-    /// EWMA smoothing factor γ.
-    pub gamma: f64,
-    /// Additive term β in bytes; the paper sets it from the expected flow
-    /// count — we default to Wmax·(1-η)/N like HPCC with η=0.95, N=16,
-    /// computed at construction.
-    pub beta_flows: u32,
-}
-
-impl Default for PowerTcpParams {
-    fn default() -> Self {
-        PowerTcpParams {
-            gamma: 0.9,
-            beta_flows: 16,
-        }
-    }
-}
+// Parameters: the paper's defaults.
+/// EWMA smoothing factor γ.
+const GAMMA: f64 = 0.9;
+/// Expected concurrent flows N setting the additive term
+/// `β = Wmax·(1-η)/N` in bytes, like HPCC with η = 0.95, computed at
+/// construction.
+const BETA_FLOWS: u32 = 16;
 
 /// PowerTCP sender state for one flow.
 pub struct PowerTcp {
-    p: PowerTcpParams,
     line_rate: f64,
     base_rtt: Time,
     w_max: f64,
@@ -46,11 +33,10 @@ pub struct PowerTcp {
 }
 
 impl PowerTcp {
-    pub fn new(p: PowerTcpParams, line_rate_bps: Bandwidth, base_rtt: Time) -> Self {
+    pub fn new(line_rate_bps: Bandwidth, base_rtt: Time) -> Self {
         let w_max = bytes_in(base_rtt, line_rate_bps) as f64;
-        let beta = (w_max * 0.05 / p.beta_flows as f64).max(1.0);
+        let beta = (w_max * 0.05 / BETA_FLOWS as f64).max(1.0);
         PowerTcp {
-            p,
             line_rate: line_rate_bps as f64,
             base_rtt,
             w_max,
@@ -105,7 +91,7 @@ impl SenderCc for PowerTcp {
             return;
         };
         let target = self.w / g + self.beta;
-        let mut w_new = self.p.gamma * target + (1.0 - self.p.gamma) * self.w;
+        let mut w_new = GAMMA * target + (1.0 - GAMMA) * self.w;
         // Bound the per-ACK step: INT records are quantized at packet
         // granularity, so the instantaneous dq/dt term swings wildly at
         // small BDPs; an unbounded step lets single-sample noise crash
@@ -164,7 +150,7 @@ mod tests {
     #[test]
     fn equilibrium_at_line_rate_empty_queue() {
         // λ = C, v = BDP → Γ = 1 → window drifts to w + β (≈ stable).
-        let mut p = PowerTcp::new(PowerTcpParams::default(), LINE, BASE);
+        let mut p = PowerTcp::new(LINE, BASE);
         let w0 = p.window();
         let per = bytes_in(BASE, LINE);
         let mut tx = 0;
@@ -184,7 +170,7 @@ mod tests {
     fn growing_queue_cuts_window_before_its_large() {
         // Queue growing fast but still small: the derivative term must
         // already push the window down (PowerTCP's selling point).
-        let mut p = PowerTcp::new(PowerTcpParams::default(), LINE, BASE);
+        let mut p = PowerTcp::new(LINE, BASE);
         let per = bytes_in(BASE, LINE);
         let w0 = p.window();
         feed(&mut p, hop(0, 0, 0));
@@ -199,7 +185,7 @@ mod tests {
 
     #[test]
     fn standing_queue_also_cuts() {
-        let mut p = PowerTcp::new(PowerTcpParams::default(), LINE, BASE);
+        let mut p = PowerTcp::new(LINE, BASE);
         let per = bytes_in(BASE, LINE);
         let w0 = p.window();
         feed(&mut p, hop(0, 2 * per, 0));
@@ -212,7 +198,7 @@ mod tests {
 
     #[test]
     fn draining_queue_lets_window_recover() {
-        let mut p = PowerTcp::new(PowerTcpParams::default(), LINE, BASE);
+        let mut p = PowerTcp::new(LINE, BASE);
         let per = bytes_in(BASE, LINE);
         // Crash the window with a big queue first.
         feed(&mut p, hop(0, 4 * per, 0));
@@ -226,7 +212,7 @@ mod tests {
 
     #[test]
     fn window_bounded() {
-        let mut p = PowerTcp::new(PowerTcpParams::default(), LINE, BASE);
+        let mut p = PowerTcp::new(LINE, BASE);
         let bdp = bytes_in(BASE, LINE) as f64;
         feed(&mut p, hop(0, 0, 0));
         for i in 1..100u64 {

@@ -17,43 +17,25 @@
 use netsim::cc::{clamp_rate, AckView, SenderCc};
 use netsim::units::{Time, MBPS, US};
 
-/// TIMELY parameters (ns-3 defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct TimelyParams {
-    /// EWMA weight for the RTT difference.
-    pub ewma_alpha: f64,
-    /// Multiplicative decrease factor.
-    pub beta: f64,
-    /// Additive increase step, bits/s.
-    pub add_step: f64,
-    /// Queueing delay below which we always increase.
-    pub t_low: Time,
-    /// Queueing delay above which we always decrease.
-    pub t_high: Time,
-    /// Consecutive negative gradients before hyperactive increase.
-    pub hai_threshold: u32,
-    /// Minimum bytes acked between rate updates (completion-event
-    /// granularity, per the paper's 16–64 KB segments).
-    pub update_bytes: u64,
-}
-
-impl Default for TimelyParams {
-    fn default() -> Self {
-        TimelyParams {
-            ewma_alpha: 0.875,
-            beta: 0.8,
-            add_step: 40.0 * MBPS as f64,
-            t_low: 50 * US,
-            t_high: 500 * US,
-            hai_threshold: 5,
-            update_bytes: 16_000,
-        }
-    }
-}
+// Parameters: the ns-3 defaults.
+/// EWMA weight for the RTT difference.
+const EWMA_ALPHA: f64 = 0.875;
+/// Multiplicative decrease factor.
+const BETA: f64 = 0.8;
+/// Additive increase step, bits/s.
+const ADD_STEP: f64 = 40.0 * MBPS as f64;
+/// Queueing delay below which we always increase.
+const T_LOW: Time = 50 * US;
+/// Queueing delay above which we always decrease.
+const T_HIGH: Time = 500 * US;
+/// Consecutive negative gradients before hyperactive increase.
+const HAI_THRESHOLD: u32 = 5;
+/// Minimum bytes acked between rate updates (completion-event
+/// granularity, per the paper's 16–64 KB segments).
+const UPDATE_BYTES: u64 = 16_000;
 
 /// TIMELY sender state for one flow.
 pub struct Timely {
-    p: TimelyParams,
     line_rate: f64,
     base_rtt: Time,
     rate: f64,
@@ -65,9 +47,8 @@ pub struct Timely {
 }
 
 impl Timely {
-    pub fn new(p: TimelyParams, line_rate_bps: u64, base_rtt: Time) -> Self {
+    pub fn new(line_rate_bps: u64, base_rtt: Time) -> Self {
         Timely {
-            p,
             line_rate: line_rate_bps as f64,
             base_rtt,
             rate: line_rate_bps as f64,
@@ -86,33 +67,33 @@ impl Timely {
         };
         self.prev_rtt = Some(rtt);
         let new_diff = rtt as f64 - prev as f64;
-        self.rtt_diff = (1.0 - self.p.ewma_alpha) * self.rtt_diff + self.p.ewma_alpha * new_diff;
+        self.rtt_diff = (1.0 - EWMA_ALPHA) * self.rtt_diff + EWMA_ALPHA * new_diff;
         // Normalize the gradient over at least t_low: TIMELY was designed
         // for RTTs of tens to hundreds of µs, and dividing by a ~5 µs
         // intra-rack propagation RTT makes every queue wiggle look like a
         // cliff.
-        let min_rtt = self.base_rtt.max(self.p.t_low).max(1) as f64;
+        let min_rtt = self.base_rtt.max(T_LOW).max(1) as f64;
         let gradient = self.rtt_diff / min_rtt;
         let queue_delay = rtt.saturating_sub(self.base_rtt);
 
-        if queue_delay < self.p.t_low {
+        if queue_delay < T_LOW {
             self.neg_gradient_streak = 0;
-            self.rate += self.p.add_step;
-        } else if queue_delay > self.p.t_high {
+            self.rate += ADD_STEP;
+        } else if queue_delay > T_HIGH {
             self.neg_gradient_streak = 0;
-            let ratio = self.p.t_high as f64 / queue_delay as f64;
-            self.rate *= 1.0 - self.p.beta * (1.0 - ratio);
+            let ratio = T_HIGH as f64 / queue_delay as f64;
+            self.rate *= 1.0 - BETA * (1.0 - ratio);
         } else if gradient <= 0.0 {
             self.neg_gradient_streak += 1;
-            let n = if self.neg_gradient_streak >= self.p.hai_threshold {
+            let n = if self.neg_gradient_streak >= HAI_THRESHOLD {
                 5.0
             } else {
                 1.0
             };
-            self.rate += n * self.p.add_step;
+            self.rate += n * ADD_STEP;
         } else {
             self.neg_gradient_streak = 0;
-            self.rate *= 1.0 - self.p.beta * gradient.min(1.0);
+            self.rate *= 1.0 - BETA * gradient.min(1.0);
         }
         self.rate = clamp_rate(self.rate, self.line_rate as u64);
     }
@@ -128,7 +109,7 @@ impl SenderCc for Timely {
         let Some(rtt) = ack.rtt_sample else {
             return;
         };
-        if self.bytes_since_update >= self.p.update_bytes || self.prev_rtt.is_none() {
+        if self.bytes_since_update >= UPDATE_BYTES || self.prev_rtt.is_none() {
             self.bytes_since_update = 0;
             self.update(rtt);
         }
@@ -170,7 +151,7 @@ mod tests {
 
     #[test]
     fn low_delay_increases_rate() {
-        let mut t = Timely::new(TimelyParams::default(), LINE, BASE);
+        let mut t = Timely::new(LINE, BASE);
         // Drop to mid rate first so increases are visible.
         t.rate = 10e9;
         let mut seq = 0;
@@ -183,7 +164,7 @@ mod tests {
 
     #[test]
     fn high_delay_decreases_rate() {
-        let mut t = Timely::new(TimelyParams::default(), LINE, BASE);
+        let mut t = Timely::new(LINE, BASE);
         let mut seq = 0;
         for _ in 0..10 {
             seq += 20_000;
@@ -194,7 +175,7 @@ mod tests {
 
     #[test]
     fn gradient_band_tracks_direction() {
-        let mut t = Timely::new(TimelyParams::default(), LINE, BASE);
+        let mut t = Timely::new(LINE, BASE);
         t.rate = 10e9;
         // Rising RTT inside the band → positive gradient → decrease.
         let (s1, r1) = ack_with(20_000, BASE + 100 * US);
@@ -216,8 +197,7 @@ mod tests {
 
     #[test]
     fn hai_kicks_in_after_streak() {
-        let p = TimelyParams::default();
-        let mut t = Timely::new(p, LINE, BASE);
+        let mut t = Timely::new(LINE, BASE);
         t.rate = 1e9;
         let mut seq = 0;
         // Constant in-band RTT: gradient → 0 (EWMA decays), so streak
@@ -237,7 +217,7 @@ mod tests {
 
     #[test]
     fn updates_gated_by_bytes() {
-        let mut t = Timely::new(TimelyParams::default(), LINE, BASE);
+        let mut t = Timely::new(LINE, BASE);
         t.rate = 1e9;
         // Tiny ACK increments below the 16 KB gate: only the first
         // (priming) sample runs, so the rate stays put.
@@ -256,7 +236,7 @@ mod tests {
         // A 6 ms base-RTT flow with small queueing delay must be able to
         // increase — the queue-delay adaptation at work.
         let base = 6_000 * US;
-        let mut t = Timely::new(TimelyParams::default(), LINE, base);
+        let mut t = Timely::new(LINE, base);
         t.rate = 1e9;
         let mut seq = 0;
         for _ in 0..5 {

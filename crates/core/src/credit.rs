@@ -11,7 +11,6 @@
 use netsim::int::IntStack;
 use netsim::units::Time;
 
-use crate::params::MlccParams;
 use crate::rate_ctl::{HopFilter, IntRateController};
 
 /// Factor by which `R_credit` may exceed the flow's measured arrival
@@ -50,10 +49,10 @@ pub struct CreditRound {
 impl CreditLoop {
     /// `cap_bps` bounds `R_credit` (the receiver's access rate);
     /// `dst_dc_rtt` is the receiver-side datacenter loop RTT.
-    pub fn new(p: &MlccParams, cap_bps: u64, dst_dc_rtt: Time) -> Self {
+    pub fn new(cap_bps: u64, dst_dc_rtt: Time) -> Self {
         CreditLoop {
             c_r: 0,
-            ctl: IntRateController::new(p, cap_bps, dst_dc_rtt, HopFilter::ExcludeDci),
+            ctl: IntRateController::new(cap_bps, dst_dc_rtt, HopFilter::ExcludeDci),
             u_round: None,
             rounds: 0,
             r_credit: cap_bps as f64,
@@ -158,7 +157,7 @@ mod tests {
 
     #[test]
     fn first_matching_credit_completes_round_zero() {
-        let mut c = CreditLoop::new(&MlccParams::default(), CAP, T);
+        let mut c = CreditLoop::new(CAP, T);
         // C_D defaults to 0 at the DCI; the receiver's C_R starts at 0,
         // so the very first stamped packet closes round 0.
         let out = c.on_data(&stack(0, 0, 0, 0), Some(0), FULL, 0).unwrap();
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn mismatched_credit_does_not_advance() {
-        let mut c = CreditLoop::new(&MlccParams::default(), CAP, T);
+        let mut c = CreditLoop::new(CAP, T);
         assert!(c.on_data(&stack(0, 0, 0, 0), Some(5), FULL, 0).is_none());
         assert!(c.on_data(&stack(T, 0, 0, 0), None, FULL, T).is_none());
         assert_eq!(c.c_r(), 0);
@@ -177,7 +176,7 @@ mod tests {
 
     #[test]
     fn rate_reacts_to_intra_dc_congestion_once_per_round() {
-        let mut c = CreditLoop::new(&MlccParams::default(), CAP, T);
+        let mut c = CreditLoop::new(CAP, T);
         // Round 0 primes the hop history.
         c.on_data(&stack(0, 0, 0, 0), Some(0), FULL, 0);
         // Packets within round 1 observe 2× overload but C_D lags at 0.
@@ -201,7 +200,7 @@ mod tests {
 
     #[test]
     fn dci_queue_does_not_affect_credit_rate() {
-        let mut c = CreditLoop::new(&MlccParams::default(), CAP, T);
+        let mut c = CreditLoop::new(CAP, T);
         c.on_data(&stack(0, 0, 0, 0), Some(0), FULL, 0);
         // Intra-DC hop is idle; the DCI per-flow queue is huge.
         let giant = 100 * bytes_in(T, CAP);
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn credit_counter_wraps_safely() {
-        let mut c = CreditLoop::new(&MlccParams::default(), CAP, T);
+        let mut c = CreditLoop::new(CAP, T);
         c.c_r = u32::MAX;
         let out = c
             .on_data(&stack(0, 0, 0, 0), Some(u32::MAX), FULL, 0)

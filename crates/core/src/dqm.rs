@@ -22,8 +22,13 @@ use netsim::units::{Time, SEC};
 use crate::params::MlccParams;
 use crate::token::TokenSmoother;
 
+/// m — number of recent R_credit samples averaged when predicting the
+/// queueing delay (Eq. 4). Paper default 5.
+pub(crate) const M: usize = 5;
+
 /// Per-flow DQM state at the receiver.
 pub struct Dqm {
+    /// θ and D_t (Eq. 5).
     p: MlccParams,
     rtt_c: Time,
     /// Eq. 1: rounds per cross-DC RTT.
@@ -51,9 +56,9 @@ impl Dqm {
             n,
             cap_bps: cap_bps as f64,
             r_dqm_hist: VecDeque::with_capacity(n),
-            r_credit_hist: VecDeque::with_capacity(p.m),
+            r_credit_hist: VecDeque::with_capacity(M),
             r_dqm: cap_bps as f64,
-            smoother: TokenSmoother::new(p.alpha, mtu_wire_bytes, rtt_c, cap_bps),
+            smoother: TokenSmoother::new(mtu_wire_bytes, rtt_c),
             q_c_bytes: 0,
             last_d_pre_secs: 0.0,
         }
@@ -73,7 +78,7 @@ impl Dqm {
     /// One credit round completed with dequeue rate `r_credit` (Eq. 2–5).
     /// Returns the raw `R_DQM`.
     pub fn on_round(&mut self, r_credit: f64) -> f64 {
-        push_bounded(&mut self.r_credit_hist, r_credit, self.p.m.max(1));
+        push_bounded(&mut self.r_credit_hist, r_credit, M);
 
         // Eq. 2: predicted average enqueue rate over the next RTT_C.
         let r_pre_eq = if self.r_dqm_hist.is_empty() {
@@ -206,7 +211,7 @@ mod tests {
             d.on_round(10e9);
         }
         assert!(d.r_dqm_hist.len() <= d.n());
-        assert_eq!(d.r_credit_hist.len(), MlccParams::default().m);
+        assert_eq!(d.r_credit_hist.len(), M);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! algorithm the *sender* runs end-to-end, as long as the sender honours
 //! the advertised `R̄_DQM` ceiling. [`DqmGoverned`] wraps any
 //! [`SenderCc`] with exactly that: the inner algorithm produces its own
-//! rate, and the effective rate is `min(inner, R̄_DQM)` (Eq. 10 with
-//! `R_NS` replaced by the legacy algorithm's rate).
+//! rate, and the effective rate is `min(inner, R̄_DQM)` — Eq. 10, which
+//! the MLCC sender itself applies over its near-source loop
+//! ([`crate::sender::MlccSender`]).
 
 use netsim::cc::{AckView, CcEnv, CcFactory, ReceiverCc, SenderCc};
 use netsim::int::IntStack;
 use netsim::units::Time;
 
-use crate::params::MlccParams;
-use crate::receiver::MlccReceiver;
+use crate::MlccFactory;
 
 /// Any sender, rate-ceilinged by the DQM advertisements in ACKs.
 pub struct DqmGoverned<S: SenderCc> {
@@ -71,6 +71,7 @@ impl<S: SenderCc> SenderCc for DqmGoverned<S> {
 
     fn rate_bps(&self) -> f64 {
         if self.cross_dc {
+            // Eq. 10.
             self.inner.rate_bps().min(self.r_dqm_bar)
         } else {
             self.inner.rate_bps()
@@ -86,7 +87,7 @@ impl<S: SenderCc> SenderCc for DqmGoverned<S> {
     }
 
     fn name(&self) -> &'static str {
-        "dqm-governed"
+        self.inner.name()
     }
 }
 
@@ -100,12 +101,11 @@ impl<S: SenderCc> SenderCc for DqmGoverned<S> {
 /// typically ignores Switch-INT anyway.
 pub struct HybridFactory<F: CcFactory> {
     pub inner: F,
-    pub params: MlccParams,
 }
 
 impl<F: CcFactory> HybridFactory<F> {
-    pub fn new(inner: F, params: MlccParams) -> Self {
-        HybridFactory { inner, params }
+    pub fn new(inner: F) -> Self {
+        HybridFactory { inner }
     }
 }
 
@@ -120,15 +120,7 @@ impl<F: CcFactory> CcFactory for HybridFactory<F> {
 
     fn receiver(&self, env: &CcEnv) -> Box<dyn ReceiverCc> {
         if env.path.cross_dc {
-            let mtu_wire = env.mtu_bytes + netsim::packet::DATA_HEADER_BYTES;
-            Box::new(MlccReceiver::new(
-                self.params,
-                env.path.bottleneck_bps,
-                env.path.base_rtt,
-                env.path.dst_dc_rtt,
-                mtu_wire,
-                true,
-            ))
+            MlccFactory::default().receiver(env)
         } else {
             // Intra-DC flows keep the legacy algorithm's receiver (e.g.
             // DCQCN's CNP generation).
@@ -177,7 +169,9 @@ impl SenderCc for BoxedSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::cc::FixedRateCc;
+    use netsim::cc::{FixedRateCc, NoCcFactory};
+    use netsim::packet::Packet;
+    use netsim::types::{FlowId, NodeId};
 
     fn ack(r_dqm: Option<u64>) -> (IntStack, Option<u64>) {
         (IntStack::new(), r_dqm)
@@ -232,5 +226,22 @@ mod tests {
         assert_eq!(g.window_bytes(), Some(4096));
         assert_eq!(g.next_timer(), None);
         assert_eq!(g.inner().rate_bps(), 10e9);
+    }
+
+    #[test]
+    fn hybrid_receivers_split_on_cross_dc() {
+        let f = HybridFactory::new(NoCcFactory);
+        let data = Packet::data(1, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
+        // Cross-DC: MLCC's receiver, which advertises R̄_DQM from the
+        // first ACK on.
+        let cross = f.receiver(&crate::tests::env(true)).on_data(&data, 0);
+        assert!(cross.mlcc.r_dqm_bps().is_some());
+        // Intra-DC: the inner algorithm's plain receiver, with neither
+        // R̄_DQM nor the INT echo MLCC's intra-DC receiver sends.
+        let intra = f.receiver(&crate::tests::env(false)).on_data(&data, 0);
+        assert!(intra.mlcc.r_dqm_bps().is_none());
+        assert!(!intra.echo_int);
+        // The governed sender keeps the inner algorithm's name.
+        assert_eq!(f.sender(&crate::tests::env(true)).name(), "fixed");
     }
 }

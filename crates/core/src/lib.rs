@@ -25,7 +25,12 @@
 //!   one cross-DC RTT ahead (Eq. 1–4), derates the sender (Eq. 5), and
 //!   smooths with a token bucket (Eq. 6–9, [`token::TokenSmoother`]).
 //! * **End-to-end combine** (§3.3.2): [`sender::MlccSender`] sends at
-//!   `min(R_NS, R̄_DQM)` (Eq. 10).
+//!   `min(R_NS, R̄_DQM)` (Eq. 10): [`hybrid::DqmGoverned`], the
+//!   ceiling the hybrid also puts on legacy algorithms, over the
+//!   near-source loop [`sender::NearSourceSender`].
+//!
+//! [`MlccParams`] holds what the paper's evaluation varies (θ, D_t and
+//! the DQM switch); the other §4.1 settings are constants.
 //!
 //! The data-plane mechanics (PFQ, credit stamping, Switch-INT emission)
 //! live in `netsim`'s DCI switch; enable them with
@@ -48,7 +53,7 @@ pub use hybrid::{DqmGoverned, HybridFactory};
 pub use params::MlccParams;
 pub use rate_ctl::{HopFilter, IntRateController};
 pub use receiver::MlccReceiver;
-pub use sender::MlccSender;
+pub use sender::{MlccSender, NearSourceSender};
 pub use token::TokenSmoother;
 
 /// Factory wiring MLCC senders and receivers per flow.
@@ -74,10 +79,10 @@ impl CcFactory for MlccFactory {
         } else {
             env.path.base_rtt
         };
-        Box::new(MlccSender::new(
-            &self.params,
-            env.path.line_rate_bps,
-            loop_rtt,
+        let rate = env.path.line_rate_bps;
+        Box::new(DqmGoverned::new(
+            NearSourceSender::new(rate, loop_rtt, env.path.cross_dc),
+            rate,
             env.path.cross_dc,
         ))
     }
@@ -109,7 +114,7 @@ mod tests {
     use netsim::types::{FlowId, NodeId};
     use netsim::units::{GBPS, MS, US};
 
-    fn env(cross: bool) -> CcEnv {
+    pub(crate) fn env(cross: bool) -> CcEnv {
         CcEnv {
             flow: FlowSpec {
                 id: FlowId(0),

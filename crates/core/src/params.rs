@@ -1,8 +1,14 @@
 //! MLCC parameters, defaulting to the paper's §4.1 settings.
+//!
+//! Only what the evaluation varies is a field: θ (Fig. 9), D_t (the
+//! `dqm_tuning` example) and the DQM switch (the ablation). The other
+//! settings are constants in the module that uses them: m in
+//! [`crate::dqm`], α in [`crate::token`], and the micro loops' η and
+//! additive increase in [`crate::rate_ctl`].
 
 use netsim::units::{Time, MS};
 
-/// All MLCC tunables.
+/// The MLCC tunables the evaluation varies.
 #[derive(Clone, Copy, Debug)]
 pub struct MlccParams {
     /// θ — time budget to bring the predicted queueing delay back to the
@@ -11,20 +17,6 @@ pub struct MlccParams {
     /// D_t — target queueing delay at the receiver-side DCI (Eq. 5).
     /// Paper default 1 ms.
     pub d_t: Time,
-    /// m — number of recent R_credit samples averaged when predicting the
-    /// queueing delay (Eq. 4). Paper default 5.
-    pub m: usize,
-    /// α — token-bucket gain (Eq. 7). Paper default 0.5.
-    pub alpha: f64,
-    /// η — target utilization of the INT rate controllers (near-source
-    /// and credit loops), following HPCC.
-    pub eta: f64,
-    /// Additive-increase rounds allowed before a multiplicative pass.
-    pub max_stage: u32,
-    /// Expected concurrent flows per bottleneck; sets the additive
-    /// increase `R_AI = cap·(1-η)/flows_hint` that drives fair
-    /// convergence.
-    pub flows_hint: u32,
     /// Ablation switch: when false the receiver never advertises
     /// `R̄_DQM`, so the sender runs on the near-source loop alone and
     /// the DCI queue is unmanaged.
@@ -36,44 +28,22 @@ impl Default for MlccParams {
         MlccParams {
             theta: 18 * MS,
             d_t: 1 * MS,
-            m: 5,
-            alpha: 0.5,
-            eta: 0.95,
-            max_stage: 5,
-            flows_hint: 16,
             dqm_enabled: true,
         }
-    }
-}
-
-impl MlccParams {
-    /// Additive increase step for a controller capped at `cap_bps`.
-    pub fn r_ai(&self, cap_bps: u64) -> f64 {
-        (cap_bps as f64 * (1.0 - self.eta) / self.flows_hint as f64).max(1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::units::GBPS;
 
     #[test]
     fn paper_defaults() {
         let p = MlccParams::default();
         assert_eq!(p.theta, 18 * MS);
         assert_eq!(p.d_t, 1 * MS);
-        assert_eq!(p.m, 5);
-        assert!((p.alpha - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_ai_scales_with_cap() {
-        let p = MlccParams::default();
-        let ai25 = p.r_ai(25 * GBPS);
-        let ai100 = p.r_ai(100 * GBPS);
-        assert!((ai100 / ai25 - 4.0).abs() < 1e-9);
-        // 25G, η=0.95, 16 flows → 78.125 Mbps.
-        assert!((ai25 - 78.125e6).abs() < 1.0);
+        assert!(p.dqm_enabled);
+        assert_eq!(crate::dqm::M, 5);
+        assert!((crate::token::ALPHA - 0.5).abs() < 1e-12);
     }
 }

@@ -10,8 +10,6 @@ use netsim::cc::MIN_SEND_RATE_BPS;
 use netsim::int::{HopHistory, IntStack};
 use netsim::units::Time;
 
-use crate::params::MlccParams;
-
 /// Which hops a controller reads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HopFilter {
@@ -28,10 +26,22 @@ pub enum HopFilter {
 /// produce garbage utilization estimates.
 pub const STALE_RTT_MULTIPLE: u64 = 16;
 
+/// η — target utilization of both micro loops, following HPCC.
+const ETA: f64 = 0.95;
+/// Additive-increase rounds allowed before a multiplicative pass.
+const MAX_STAGE: u32 = 5;
+/// Expected concurrent flows per bottleneck; sets the additive increase
+/// that drives fair convergence (see `r_ai`).
+const AI_FLOWS: u32 = 16;
+
+/// Additive increase step `R_AI = cap·(1-η)/AI_FLOWS` for a controller
+/// capped at `cap_bps`.
+fn r_ai(cap_bps: u64) -> f64 {
+    (cap_bps as f64 * (1.0 - ETA) / AI_FLOWS as f64).max(1.0)
+}
+
 /// MIMD rate controller over per-hop INT utilization.
 pub struct IntRateController {
-    eta: f64,
-    max_stage: u32,
     r_ai: f64,
     /// Loop base RTT: normalizes queue terms and paces reference updates.
     t_base: Time,
@@ -49,11 +59,9 @@ pub struct IntRateController {
 }
 
 impl IntRateController {
-    pub fn new(p: &MlccParams, cap_bps: u64, t_base: Time, filter: HopFilter) -> Self {
+    pub fn new(cap_bps: u64, t_base: Time, filter: HopFilter) -> Self {
         IntRateController {
-            eta: p.eta,
-            max_stage: p.max_stage,
-            r_ai: p.r_ai(cap_bps),
+            r_ai: r_ai(cap_bps),
             t_base: t_base.max(1),
             cap: cap_bps as f64,
             filter,
@@ -102,8 +110,8 @@ impl IntRateController {
     /// and per-round tx-rate samples over ~10 packets are noisy).
     pub fn apply(&mut self, u: f64, now: Time) -> f64 {
         let u = u.max(1e-6);
-        if u >= self.eta || self.stage >= self.max_stage {
-            let factor = (self.eta / u).clamp(0.9, 1.1);
+        if u >= ETA || self.stage >= MAX_STAGE {
+            let factor = (ETA / u).clamp(0.9, 1.1);
             self.r = self.r_c * factor + self.r_ai;
         } else {
             self.r = self.r_c + self.r_ai;
@@ -112,7 +120,7 @@ impl IntRateController {
         // Reference update once per loop RTT.
         if now >= self.last_ref + self.t_base {
             self.r_c = self.r;
-            self.stage = if u >= self.eta { 0 } else { self.stage + 1 };
+            self.stage = if u >= ETA { 0 } else { self.stage + 1 };
             self.last_ref = now;
         }
         self.r
@@ -179,7 +187,16 @@ mod tests {
     }
 
     fn ctl() -> IntRateController {
-        IntRateController::new(&MlccParams::default(), CAP, T, HopFilter::All)
+        IntRateController::new(CAP, T, HopFilter::All)
+    }
+
+    #[test]
+    fn r_ai_scales_with_cap() {
+        let ai25 = r_ai(25 * GBPS);
+        let ai100 = r_ai(100 * GBPS);
+        assert!((ai100 / ai25 - 4.0).abs() < 1e-9);
+        // 25G, η=0.95, 16 flows → 78.125 Mbps.
+        assert!((ai25 - 78.125e6).abs() < 1.0);
     }
 
     #[test]
@@ -230,7 +247,7 @@ mod tests {
 
     #[test]
     fn dci_filter_ignores_dci_hops() {
-        let mut c = IntRateController::new(&MlccParams::default(), CAP, T, HopFilter::ExcludeDci);
+        let mut c = IntRateController::new(CAP, T, HopFilter::ExcludeDci);
         let mk = |ts, tx| {
             let mut s = IntStack::new();
             s.push(IntHop {
@@ -308,9 +325,8 @@ mod tests {
         // Closed-loop toy model: two flows share a link of capacity CAP.
         // Each controller sees the same hop whose tx bytes reflect the sum
         // of the two rates, and a queue that integrates the excess.
-        let p = MlccParams::default();
-        let mut a = IntRateController::new(&p, CAP, T, HopFilter::All);
-        let mut b = IntRateController::new(&p, CAP, T, HopFilter::All);
+        let mut a = IntRateController::new(CAP, T, HopFilter::All);
+        let mut b = IntRateController::new(CAP, T, HopFilter::All);
         // Start very unfair.
         a.r = CAP as f64;
         a.r_c = a.r;

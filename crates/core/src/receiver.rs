@@ -33,7 +33,7 @@ impl MlccReceiver {
         MlccReceiver {
             cross_dc,
             dqm_enabled: p.dqm_enabled,
-            credit: CreditLoop::new(&p, cap_bps, rtt_d),
+            credit: CreditLoop::new(cap_bps, rtt_d),
             dqm: Dqm::new(p, rtt_c, rtt_d, mtu_wire_bytes, cap_bps),
         }
     }
@@ -63,25 +63,11 @@ impl ReceiverCc for MlccReceiver {
             .credit
             .on_data(pkt.int(), pkt.mlcc.c_d(), pkt.size, now)
         {
-            let r_dqm = self.dqm.on_round(round.r_credit_bps);
+            self.dqm.on_round(round.r_credit_bps);
             fields.mlcc.set_c_r(Some(round.c_r));
             fields
                 .mlcc
                 .set_r_credit_bps(Some(round.r_credit_bps as u64));
-            // Diagnostic trace of the control loops (development aid):
-            // MLCC_TRACE=1 prints one line per credit round.
-            if std::env::var_os("MLCC_TRACE").is_some() {
-                eprintln!(
-                    "trace flow={} t_us={:.1} c_r={} r_credit={:.2}G r_dqm={:.2}G d_pre_us={:.0} q_c={}",
-                    pkt.flow,
-                    now as f64 / 1e6,
-                    round.c_r,
-                    round.r_credit_bps / 1e9,
-                    r_dqm / 1e9,
-                    self.dqm.last_d_pre_secs * 1e6,
-                    pkt.int().hops().iter().find(|h| h.is_dci).map_or(0, |h| h.qlen_bytes),
-                );
-            }
         }
         // Per-packet smoothing; every ACK advertises the latest R̄_DQM.
         let r_bar = self.dqm.on_packet(self.credit.r_credit_bps());

@@ -3,7 +3,9 @@
 //! Cross-DC flows combine two rate signals (Eq. 10):
 //! `R_MLCC = min(R_NS, R̄_DQM)` — the near-source rate computed from
 //! Switch-INT feedback (sender-side micro loop) and the smoothed DQM rate
-//! carried back in ACKs (long-term end-to-end loop).
+//! carried back in ACKs (long-term end-to-end loop). [`NearSourceSender`]
+//! runs the first loop and [`DqmGoverned`] applies the ceiling, the same
+//! one it puts on a legacy algorithm's rate in the hybrid.
 //!
 //! Intra-DC flows have no DCI on their path; they run the same INT rate
 //! controller end-to-end over the ACK-echoed stack, which is already a
@@ -13,49 +15,32 @@ use netsim::cc::{AckView, SenderCc};
 use netsim::int::IntStack;
 use netsim::units::Time;
 
-use crate::params::MlccParams;
+use crate::hybrid::DqmGoverned;
 use crate::rate_ctl::{HopFilter, IntRateController};
 
-/// MLCC sender state for one flow.
-pub struct MlccSender {
+/// MLCC sender state for one flow: the near-source loop under the
+/// `R̄_DQM` ceiling.
+pub type MlccSender = DqmGoverned<NearSourceSender>;
+
+/// The near-source half of the MLCC sender: `R_NS` alone.
+pub struct NearSourceSender {
     cross_dc: bool,
     /// Near-source controller (cross-DC: Switch-INT; intra-DC: ACK INT).
     ns: IntRateController,
-    /// Latest R̄_DQM from ACKs; line rate until the first ACK.
-    r_dqm_bar: f64,
-    /// Diagnostics.
-    pub switch_int_seen: u64,
 }
 
-impl MlccSender {
-    pub fn new(p: &MlccParams, line_rate_bps: u64, loop_rtt: Time, cross_dc: bool) -> Self {
-        MlccSender {
+impl NearSourceSender {
+    pub fn new(line_rate_bps: u64, loop_rtt: Time, cross_dc: bool) -> Self {
+        NearSourceSender {
             cross_dc,
-            ns: IntRateController::new(p, line_rate_bps, loop_rtt, HopFilter::All),
-            r_dqm_bar: line_rate_bps as f64,
-            switch_int_seen: 0,
+            ns: IntRateController::new(line_rate_bps, loop_rtt, HopFilter::All),
         }
     }
-
-    /// The near-source component R_NS.
-    #[inline]
-    pub fn r_ns_bps(&self) -> f64 {
-        self.ns.rate_bps()
-    }
-
-    /// The end-to-end component R̄_DQM.
-    #[inline]
-    pub fn r_dqm_bar_bps(&self) -> f64 {
-        self.r_dqm_bar
-    }
 }
 
-impl SenderCc for MlccSender {
+impl SenderCc for NearSourceSender {
     fn on_ack(&mut self, ack: &AckView<'_>) {
         if self.cross_dc {
-            if let Some(r) = ack.r_dqm_bps {
-                self.r_dqm_bar = r as f64;
-            }
             // The near-source loop is fed by Switch-INT; if that feed
             // has gone dark (loss burst or flap ate the control packets)
             // while ACKs still show forward progress, probe upward
@@ -72,17 +57,11 @@ impl SenderCc for MlccSender {
     }
 
     fn on_switch_int(&mut self, int: &IntStack, now: Time) {
-        self.switch_int_seen += 1;
         self.ns.on_int(int, now);
     }
 
     fn rate_bps(&self) -> f64 {
-        if self.cross_dc {
-            // Eq. 10.
-            self.ns.rate_bps().min(self.r_dqm_bar)
-        } else {
-            self.ns.rate_bps()
-        }
+        self.ns.rate_bps()
     }
 
     fn name(&self) -> &'static str {
@@ -111,6 +90,14 @@ mod tests {
         s
     }
 
+    fn sender(loop_rtt: Time, cross_dc: bool) -> MlccSender {
+        DqmGoverned::new(
+            NearSourceSender::new(LINE, loop_rtt, cross_dc),
+            LINE,
+            cross_dc,
+        )
+    }
+
     fn ack(seq: u64, r_dqm: Option<u64>, int: &IntStack, now: Time) -> AckView<'_> {
         AckView {
             seq,
@@ -124,8 +111,7 @@ mod tests {
 
     #[test]
     fn cross_flow_takes_min_of_loops() {
-        let p = MlccParams::default();
-        let mut s = MlccSender::new(&p, LINE, 20 * US, true);
+        let mut s = sender(20 * US, true);
         assert_eq!(s.rate_bps(), LINE as f64);
         // DQM derates to 5 Gbps via ACK.
         let empty = IntStack::new();
@@ -139,28 +125,26 @@ mod tests {
         for i in 1..=10u64 {
             s.on_switch_int(&stack(i * t, q, i * bytes_in(t, LINE)), i * t);
         }
-        assert!(s.r_ns_bps() < 0.6 * LINE as f64, "{}", s.r_ns_bps());
-        assert_eq!(s.rate_bps(), s.r_ns_bps().min(s.r_dqm_bar_bps()));
-        assert_eq!(s.switch_int_seen, 11);
+        let r_ns = s.inner().rate_bps();
+        assert!(r_ns < 0.6 * LINE as f64, "{r_ns}");
+        assert_eq!(s.rate_bps(), r_ns.min(s.ceiling_bps()));
     }
 
     #[test]
     fn cross_flow_ignores_ack_int() {
         // Cross-DC flows get their near-source signal from Switch-INT;
         // the receiver-side INT echoed in ACKs must not drive R_NS.
-        let p = MlccParams::default();
-        let mut s = MlccSender::new(&p, LINE, 20 * US, true);
+        let mut s = sender(20 * US, true);
         let t = 20 * US;
         let congested = stack(t, 100 * bytes_in(t, LINE), bytes_in(t, LINE));
         s.on_ack(&ack(1, None, &stack(0, 0, 0), 0));
         s.on_ack(&ack(2, None, &congested, t));
-        assert_eq!(s.r_ns_bps(), LINE as f64);
+        assert_eq!(s.inner().rate_bps(), LINE as f64);
     }
 
     #[test]
     fn intra_flow_uses_ack_int_end_to_end() {
-        let p = MlccParams::default();
-        let mut s = MlccSender::new(&p, LINE, 8 * US, false);
+        let mut s = sender(8 * US, false);
         let t = 8 * US;
         let q = 10 * bytes_in(t, LINE);
         s.on_ack(&ack(1, None, &stack(0, q, 0), 0));
@@ -178,16 +162,15 @@ mod tests {
     #[test]
     fn stale_switch_int_falls_back_to_additive_increase() {
         use crate::rate_ctl::STALE_RTT_MULTIPLE;
-        let p = MlccParams::default();
         let t = 20 * US;
-        let mut s = MlccSender::new(&p, LINE, t, true);
+        let mut s = sender(t, true);
         // Congest the near-source loop so R_NS sits well below line rate.
         let q = 10 * bytes_in(t, LINE);
         s.on_switch_int(&stack(0, q, 0), 0);
         for i in 1..=10u64 {
             s.on_switch_int(&stack(i * t, q, i * bytes_in(t, LINE)), i * t);
         }
-        let depressed = s.r_ns_bps();
+        let depressed = s.inner().rate_bps();
         assert!(depressed < 0.6 * LINE as f64);
         // Switch-INT goes dark (flap), but ACKs keep arriving: R_NS must
         // climb back instead of staying pinned at the stale output.
@@ -196,16 +179,16 @@ mod tests {
         let mut last = depressed;
         for k in 0..200u64 {
             s.on_ack(&ack(100 + k, None, &empty, dark_from + k * t));
-            assert!(s.r_ns_bps() >= last, "AI fallback never decreases");
-            last = s.r_ns_bps();
+            let r_ns = s.inner().rate_bps();
+            assert!(r_ns >= last, "AI fallback never decreases");
+            last = r_ns;
         }
         assert!(last > depressed, "stale NS loop must probe upward");
     }
 
     #[test]
     fn dqm_recovery_restores_rate() {
-        let p = MlccParams::default();
-        let mut s = MlccSender::new(&p, LINE, 20 * US, true);
+        let mut s = sender(20 * US, true);
         let empty = IntStack::new();
         s.on_ack(&ack(1, Some(2_000_000_000), &empty, 0));
         assert_eq!(s.rate_bps(), 2e9);

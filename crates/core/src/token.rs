@@ -11,10 +11,12 @@
 
 use netsim::units::{Time, SEC};
 
+/// α — token-bucket gain (Eq. 7). Paper default 0.5.
+pub(crate) const ALPHA: f64 = 0.5;
+
 /// Token-bucket smoother state.
 #[derive(Clone, Debug)]
 pub struct TokenSmoother {
-    alpha: f64,
     token: f64,
     dw: i64,
     /// Rate contribution of one window step: MTU/RTT_C in bits/s.
@@ -24,11 +26,9 @@ pub struct TokenSmoother {
 impl TokenSmoother {
     /// `mtu_wire_bytes` and the cross-DC RTT set the per-step rate
     /// granularity.
-    pub fn new(alpha: f64, mtu_wire_bytes: u32, rtt_c: Time, cap_bps: u64) -> Self {
-        let _ = cap_bps;
+    pub fn new(mtu_wire_bytes: u32, rtt_c: Time) -> Self {
         let step_bps = mtu_wire_bytes as f64 * 8.0 * (SEC as f64 / rtt_c.max(1) as f64);
         TokenSmoother {
-            alpha,
             token: 0.0,
             dw: 0,
             step_bps,
@@ -39,17 +39,18 @@ impl TokenSmoother {
     /// `r_credit` the current dequeue rate.
     ///
     /// `dw` is clamped so the advertised rate stays within
-    /// `[0.5, 1.1]·R_credit` — anti-windup: with a ~RTT_C control delay,
-    /// letting the integral run to the rate floor produces
-    /// multi-millisecond starvation/overshoot limit cycles instead of
-    /// the paper's smooth drain-to-target behaviour. The band is
-    /// asymmetric because overshoot integrates into the DCI queue for a
-    /// full RTT_C before the loop can react (+10% bounds the rebuild to
-    /// ~0.1·R_credit·RTT_C of queue), while draining an accumulated
-    /// backlog benefits from the full −50% authority.
+    /// `[0.75, 1.05]·R_credit` (each bound rounded outward to a whole
+    /// step) — anti-windup: with a ~RTT_C control delay, letting the
+    /// integral run to the rate floor produces multi-millisecond
+    /// starvation/overshoot limit cycles instead of the paper's smooth
+    /// drain-to-target behaviour. The band is asymmetric because
+    /// overshoot integrates into the DCI queue for a full RTT_C before
+    /// the loop can react (+5% bounds the rebuild to
+    /// ~0.05·R_credit·RTT_C of queue), while draining an accumulated
+    /// backlog benefits from the larger −25% authority.
     pub fn on_packet(&mut self, r_dqm: f64, r_credit: f64) {
         let ratio = if r_credit > 0.0 {
-            (self.alpha * r_dqm / r_credit).min(1.0)
+            (ALPHA * r_dqm / r_credit).min(1.0)
         } else {
             1.0
         };
@@ -79,10 +80,10 @@ impl TokenSmoother {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::units::{GBPS, MS};
+    use netsim::units::MS;
 
     fn smoother() -> TokenSmoother {
-        TokenSmoother::new(0.5, 1048, 6 * MS, 25 * GBPS)
+        TokenSmoother::new(1048, 6 * MS)
     }
 
     #[test]
@@ -118,19 +119,35 @@ mod tests {
 
     #[test]
     fn dw_is_bounded() {
+        let r_credit = 10e9;
         let mut s = smoother();
         for _ in 0..10_000_000 / 100 {
-            s.on_packet(0.0, 10e9);
+            s.on_packet(0.0, r_credit);
         }
         let floor = s.dw();
-        s.on_packet(0.0, 10e9);
+        s.on_packet(0.0, r_credit);
         assert_eq!(s.dw(), floor, "dw must saturate at the limit");
-        assert!(s.smoothed_bps(10e9) >= 0.0);
+        let low = s.smoothed_bps(r_credit);
+        assert!(
+            low <= 0.75 * r_credit && low > 0.75 * r_credit - s.step_bps,
+            "floor {low}"
+        );
+        for _ in 0..10_000 {
+            s.on_packet(25e9, r_credit);
+        }
+        let ceiling = s.dw();
+        s.on_packet(25e9, r_credit);
+        assert_eq!(s.dw(), ceiling, "dw must saturate at the limit");
+        let high = s.smoothed_bps(r_credit);
+        assert!(
+            high >= 1.05 * r_credit && high < 1.05 * r_credit + s.step_bps,
+            "ceiling {high}"
+        );
     }
 
     #[test]
     fn step_granularity_matches_eq9() {
-        let s = TokenSmoother::new(0.5, 1048, 6 * MS, 25 * GBPS);
+        let s = TokenSmoother::new(1048, 6 * MS);
         // One step = MTU / RTT_C = 1048·8 bits / 6 ms ≈ 1.397 Mbps.
         let one = s.step_bps;
         assert!((one - 1048.0 * 8.0 / 0.006).abs() < 1.0, "{one}");

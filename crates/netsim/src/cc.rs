@@ -10,7 +10,7 @@
 use crate::flow::{FlowPath, FlowSpec};
 use crate::int::IntStack;
 use crate::packet::{MlccFields, Packet};
-use crate::units::{Bandwidth, Time};
+use crate::units::{Bandwidth, Time, US};
 
 /// Facts available to an algorithm when a flow is created.
 #[derive(Clone, Copy, Debug)]
@@ -118,21 +118,15 @@ pub fn clamp_rate(rate: f64, line_rate: Bandwidth) -> f64 {
 // Reusable receiver behaviours
 // ---------------------------------------------------------------------------
 
-/// Receiver for ECN-based senders (DCQCN): requests a CNP when a marked
-/// packet arrives and the per-flow CNP timer (default 50 µs, the RoCEv2
-/// standard) has expired.
-pub struct EcnCnpReceiver {
-    min_interval: Time,
-    last_cnp: Option<Time>,
-}
+/// Per-flow CNP timer of [`EcnCnpReceiver`]: the RoCEv2 standard 50 µs.
+pub const CNP_INTERVAL: Time = 50 * US;
 
-impl EcnCnpReceiver {
-    pub fn new(min_interval: Time) -> Self {
-        EcnCnpReceiver {
-            min_interval,
-            last_cnp: None,
-        }
-    }
+/// Receiver for ECN-based senders (DCQCN): requests a CNP when a marked
+/// packet arrives and [`CNP_INTERVAL`] has passed since the flow's last
+/// CNP.
+#[derive(Default)]
+pub struct EcnCnpReceiver {
+    last_cnp: Option<Time>,
 }
 
 impl ReceiverCc for EcnCnpReceiver {
@@ -141,7 +135,7 @@ impl ReceiverCc for EcnCnpReceiver {
         if pkt.ecn {
             let due = match self.last_cnp {
                 None => true,
-                Some(t) => now >= t + self.min_interval,
+                Some(t) => now >= t + CNP_INTERVAL,
             };
             if due {
                 out.send_cnp = true;
@@ -234,7 +228,7 @@ impl CcFactory for NoCcFactory {
 mod tests {
     use super::*;
     use crate::types::{FlowId, NodeId};
-    use crate::units::{GBPS, US};
+    use crate::units::GBPS;
 
     fn data_pkt(ecn: bool) -> Packet {
         let mut p = Packet::data(1, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
@@ -244,14 +238,14 @@ mod tests {
 
     #[test]
     fn ecn_receiver_rate_limits_cnps() {
-        let mut r = EcnCnpReceiver::new(50 * US);
+        let mut r = EcnCnpReceiver::default();
         assert!(r.on_data(&data_pkt(true), 0).send_cnp, "first mark → CNP");
         assert!(
             !r.on_data(&data_pkt(true), 10 * US).send_cnp,
             "within interval → suppressed"
         );
         assert!(
-            r.on_data(&data_pkt(true), 50 * US).send_cnp,
+            r.on_data(&data_pkt(true), CNP_INTERVAL).send_cnp,
             "interval elapsed → CNP"
         );
         assert!(

@@ -1,9 +1,10 @@
 //! Run-level configuration with the paper's defaults, plus validation
 //! of the (config, network) pair against degenerate inputs.
 
+use crate::cc::MIN_SEND_RATE_BPS;
 use crate::topology::Network;
 use crate::types::{LinkId, NodeId};
-use crate::units::{Time, MS};
+use crate::units::{Bandwidth, Time, MS};
 
 /// DCI-switch feature switches: the MLCC data-plane mechanisms. Baseline
 /// algorithms run with everything off (the DCI behaves as a plain
@@ -112,8 +113,10 @@ pub enum ConfigError {
     EmptyTopology,
     /// The network has nodes but no hosts, so no flow can be placed.
     NoHosts,
-    /// A link with zero bandwidth would serialize forever.
-    ZeroRateLink { link: LinkId },
+    /// A link slower than the [`MIN_SEND_RATE_BPS`] pacing floor: every
+    /// sender would be clamped to a range whose floor exceeds its cap.
+    /// A zero-rate link, which would serialize forever, is one of these.
+    LinkBelowPacingFloor { link: LinkId, bandwidth: Bandwidth },
     /// An enabled ECN profile with `Kmin > Kmax` has no valid marking
     /// region.
     InvertedEcnThresholds {
@@ -172,9 +175,10 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::EmptyTopology => write!(f, "topology has no nodes"),
             ConfigError::NoHosts => write!(f, "topology has no hosts"),
-            ConfigError::ZeroRateLink { link } => {
-                write!(f, "link {:?} has zero bandwidth", link)
-            }
+            ConfigError::LinkBelowPacingFloor { link, bandwidth } => write!(
+                f,
+                "link {link:?} runs at {bandwidth} b/s, below the {MIN_SEND_RATE_BPS} b/s pacing floor"
+            ),
             ConfigError::InvertedEcnThresholds {
                 link,
                 kmin_bytes,
@@ -265,8 +269,11 @@ pub fn validate(cfg: &SimConfig, net: &Network) -> Result<(), ConfigError> {
         if lk.id.index() != i {
             return Err(ConfigError::DuplicateLinkId { link: lk.id });
         }
-        if lk.bandwidth == 0 {
-            return Err(ConfigError::ZeroRateLink { link: lk.id });
+        if (lk.bandwidth as f64) < MIN_SEND_RATE_BPS {
+            return Err(ConfigError::LinkBelowPacingFloor {
+                link: lk.id,
+                bandwidth: lk.bandwidth,
+            });
         }
         if lk.ecn.enabled && lk.ecn.kmin_bytes > lk.ecn.kmax_bytes {
             return Err(ConfigError::InvertedEcnThresholds {
@@ -308,7 +315,7 @@ mod tests {
     use crate::pfc::PfcConfig;
     use crate::sim::Simulator;
     use crate::topology::{NetBuilder, TwoDcParams, TwoDcTopology};
-    use crate::units::{Bandwidth, GBPS, US};
+    use crate::units::{Bandwidth, GBPS, MBPS, US};
 
     /// Minimal valid h0 — s — h1 line, with hooks to break it.
     fn line(bandwidth: Bandwidth, ecn: Option<EcnConfig>) -> Network {
@@ -378,11 +385,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_link_rejected() {
-        assert_eq!(
-            validate(&SimConfig::default(), &line(0, None)),
-            Err(ConfigError::ZeroRateLink { link: LinkId(0) })
-        );
+    fn link_below_pacing_floor_rejected() {
+        // Every rate clamp is `clamp(MIN_SEND_RATE_BPS, line rate)`, which
+        // panics when the line rate is below the floor.
+        for bandwidth in [0, 5 * MBPS] {
+            assert_eq!(
+                validate(&SimConfig::default(), &line(bandwidth, None)),
+                Err(ConfigError::LinkBelowPacingFloor {
+                    link: LinkId(0),
+                    bandwidth
+                })
+            );
+        }
+        // A link at the floor is accepted and carries a flow to the end.
+        let net = line(10 * MBPS, None);
+        let (h0, h1) = (net.hosts[0], net.hosts[1]);
+        let mut sim = Simulator::try_new(net, SimConfig::default(), Box::new(NoCcFactory))
+            .expect("a 10 Mb/s link is at the pacing floor");
+        sim.try_add_flow(h0, h1, 10_000, 0).expect("valid flow");
+        assert!(sim.run_until_flows_complete());
     }
 
     #[test]

@@ -223,8 +223,9 @@ impl Simulator {
     }
 
     /// Fallible constructor: rejects zero-byte MTUs, empty or host-less
-    /// topologies, zero-rate links, and inverted ECN thresholds with a
-    /// typed [`ConfigError`] instead of running a nonsensical fabric.
+    /// topologies, links slower than the pacing floor, and inverted ECN
+    /// thresholds with a typed [`ConfigError`] instead of running a
+    /// nonsensical fabric.
     pub fn try_new(
         net: Network,
         cfg: SimConfig,

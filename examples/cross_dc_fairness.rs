@@ -70,11 +70,7 @@ fn run(name: &str, factory: Box<dyn CcFactory>, dci: DciFeatures) -> (f64, f64, 
 
 fn main() {
     println!("8 flows over a 100 Gbps sender-side bottleneck (fair share 12.5 Gbps):");
-    let (_, _, jain_dcqcn) = run(
-        "DCQCN",
-        Box::new(DcqcnFactory::default()),
-        DciFeatures::baseline(),
-    );
+    let (_, _, jain_dcqcn) = run("DCQCN", Box::new(DcqcnFactory), DciFeatures::baseline());
     let (mi, mc, jain_mlcc) = run(
         "MLCC",
         Box::new(MlccFactory::default()),

@@ -72,7 +72,7 @@ fn run(factory: Box<dyn CcFactory>, dci: DciFeatures) -> FctBreakdown {
 
 fn main() {
     println!("running DCQCN…");
-    let dcqcn = run(Box::new(DcqcnFactory::default()), DciFeatures::baseline());
+    let dcqcn = run(Box::new(DcqcnFactory), DciFeatures::baseline());
     println!("running MLCC…");
     let mlcc = run(Box::new(MlccFactory::default()), DciFeatures::mlcc());
 

@@ -45,7 +45,7 @@ fn two_flow_share(factory: Box<dyn CcFactory>) -> (f64, f64) {
 
 #[test]
 fn dcqcn_two_flow_fairness() {
-    let (jain, total) = two_flow_share(Box::new(DcqcnFactory::default()));
+    let (jain, total) = two_flow_share(Box::new(DcqcnFactory));
     assert!(jain > 0.85, "jain {jain}");
     assert!(total > 0.5 * 10e9, "total {total:.3e}");
 }
@@ -55,21 +55,21 @@ fn timely_two_flow_fairness() {
     // TIMELY famously has no unique fairness fixed point (Zhu et al.,
     // "ECN or Delay", CoNEXT 2016): gradient-based control admits many
     // equilibria. We only require no starvation and decent utilization.
-    let (jain, total) = two_flow_share(Box::new(TimelyFactory::default()));
+    let (jain, total) = two_flow_share(Box::new(TimelyFactory));
     assert!(jain > 0.55, "jain {jain}");
     assert!(total > 0.5 * 10e9, "total {total:.3e}");
 }
 
 #[test]
 fn hpcc_two_flow_fairness() {
-    let (jain, total) = two_flow_share(Box::new(HpccFactory::default()));
+    let (jain, total) = two_flow_share(Box::new(HpccFactory));
     assert!(jain > 0.9, "jain {jain}");
     assert!(total > 0.6 * 10e9, "total {total:.3e}");
 }
 
 #[test]
 fn powertcp_two_flow_fairness() {
-    let (jain, total) = two_flow_share(Box::new(PowerTcpFactory::default()));
+    let (jain, total) = two_flow_share(Box::new(PowerTcpFactory));
     assert!(jain > 0.9, "jain {jain}");
     assert!(total > 0.6 * 10e9, "total {total:.3e}");
 }

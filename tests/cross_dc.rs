@@ -266,7 +266,7 @@ fn hybrid_dcqcn_under_mlcc_loops_completes() {
     // §5 compatibility: a legacy DCQCN sender ceilinged by R̄_DQM, with
     // the MLCC receiver loops driving the DCI PFQ.
     use cc_baselines::DcqcnFactory;
-    use mlcc_core::{HybridFactory, MlccParams};
+    use mlcc_core::HybridFactory;
 
     let topo = small_two_dc();
     let (src, dst) = (topo.server(1, 0), topo.server(5, 0));
@@ -279,7 +279,7 @@ fn hybrid_dcqcn_under_mlcc_loops_completes() {
         },
         ..SimConfig::default()
     };
-    let factory = HybridFactory::new(DcqcnFactory::default(), MlccParams::default());
+    let factory = HybridFactory::new(DcqcnFactory);
     let mut sim = Simulator::new(topo.net, cfg, Box::new(factory));
     let f = sim.add_flow(src, dst, 3_000_000, 0);
     assert!(sim.run_until_flows_complete());

@@ -12,13 +12,10 @@ const ALGOS: [&str; 5] = ["dcqcn", "timely", "hpcc", "powertcp", "mlcc"];
 
 fn factory(name: &str) -> (Box<dyn CcFactory>, DciFeatures) {
     match name {
-        "dcqcn" => (Box::new(DcqcnFactory::default()), DciFeatures::baseline()),
-        "timely" => (Box::new(TimelyFactory::default()), DciFeatures::baseline()),
-        "hpcc" => (Box::new(HpccFactory::default()), DciFeatures::baseline()),
-        "powertcp" => (
-            Box::new(PowerTcpFactory::default()),
-            DciFeatures::baseline(),
-        ),
+        "dcqcn" => (Box::new(DcqcnFactory), DciFeatures::baseline()),
+        "timely" => (Box::new(TimelyFactory), DciFeatures::baseline()),
+        "hpcc" => (Box::new(HpccFactory), DciFeatures::baseline()),
+        "powertcp" => (Box::new(PowerTcpFactory), DciFeatures::baseline()),
         "mlcc" => (Box::new(MlccFactory::default()), DciFeatures::mlcc()),
         other => panic!("unknown algorithm {other}"),
     }

@@ -107,10 +107,10 @@ fn every_algorithm_is_lossless_on_the_clean_fabric() {
 
     type MakeFactory = fn() -> Box<dyn netsim::cc::CcFactory>;
     let algos: [(&str, MakeFactory, bool); 5] = [
-        ("dcqcn", || Box::new(DcqcnFactory::default()), false),
-        ("timely", || Box::new(TimelyFactory::default()), false),
-        ("hpcc", || Box::new(HpccFactory::default()), false),
-        ("powertcp", || Box::new(PowerTcpFactory::default()), false),
+        ("dcqcn", || Box::new(DcqcnFactory), false),
+        ("timely", || Box::new(TimelyFactory), false),
+        ("hpcc", || Box::new(HpccFactory), false),
+        ("powertcp", || Box::new(PowerTcpFactory), false),
         ("mlcc", || Box::new(MlccFactory::default()), true),
     ];
     for (name, make, mlcc) in algos {
