@@ -15,8 +15,9 @@
 //! clause existed still parse — the clause defaults to 0 (auto-sized
 //! headroom); `hr=1` forces the legacy no-headroom model and `hr=N`
 //! (N ≥ 2) pins an explicit N KiB per-ingress reservation. Shrinking
-//! never follows a candidate that merely fails config validation
-//! (tagged `CONFIG REJECTED:`) instead of reproducing the violation.
+//! never follows a candidate that merely fails config validation or
+//! fault injection (tagged `CONFIG REJECTED:`) instead of reproducing
+//! the violation.
 
 use mlcc_bench::scenarios::fuzz::{parse_spec, run_spec, shrink, FuzzOutcome, FuzzSpec};
 use mlcc_bench::scenarios::run_parallel;

@@ -128,10 +128,12 @@ fn run_with(cell: FaultCell, cfg: SimConfig) -> RunSummary {
         });
     }
     for l in topo.long_haul {
-        sim.inject_link_faults(l, profile.clone());
+        sim.inject_link_faults(l, profile.clone())
+            .expect("valid link fault");
     }
     if cell.perm == PermFault::HostCrash {
-        sim.inject_node_fault(NodeFault::crash(topo.servers[1][0], 500 * US));
+        sim.inject_node_fault(NodeFault::crash(topo.servers[1][0], 500 * US))
+            .expect("valid node fault");
     }
     let mut flows = Vec::new();
     for side in 0..2 {

@@ -194,12 +194,10 @@ impl FuzzSpec {
         let mut fwd = FaultProfile::default();
         let mut rev = FaultProfile::default();
         if self.fault_mask & FAULT_LOSS_FWD != 0 {
-            fwd.data_loss = loss_fwd;
-            fwd.ctrl_loss = loss_fwd;
+            fwd.loss = loss_fwd;
         }
         if self.fault_mask & FAULT_LOSS_REV != 0 {
-            rev.data_loss = loss_rev;
-            rev.ctrl_loss = loss_rev;
+            rev.loss = loss_rev;
         }
         if self.fault_mask & FAULT_JITTER_FWD != 0 {
             fwd.jitter_max = jit_fwd;
@@ -363,6 +361,12 @@ fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Abort a scenario whose input the engine refused. The panic is tagged
+/// so a refused input never counts as a reproduction.
+fn reject<T>(e: netsim::config::ConfigError) -> T {
+    panic!("CONFIG REJECTED: {e}")
+}
+
 /// Build and run one spec, capturing any panic as a violation.
 pub fn run_spec(spec: &FuzzSpec) -> FuzzOutcome {
     let spec = *spec;
@@ -387,12 +391,9 @@ pub fn run_spec(spec: &FuzzSpec) -> FuzzOutcome {
             ..SimConfig::default()
         };
         // Distinguish "the validator refused this input" from an engine
-        // invariant firing: a rejected config never ran, so it must not
-        // count as a reproduction during shrinking.
-        let mut sim = match Simulator::try_new(net, cfg, spec.algo().factory()) {
-            Ok(sim) => sim,
-            Err(e) => panic!("CONFIG REJECTED: {e}"),
-        };
+        // invariant firing: a rejected config or fault never ran, so it
+        // must not count as a reproduction during shrinking.
+        let mut sim = Simulator::try_new(net, cfg, spec.algo().factory()).unwrap_or_else(reject);
         #[cfg(feature = "audit")]
         {
             sim.audit.chaos = match spec.chaos {
@@ -406,7 +407,8 @@ pub fn run_spec(spec: &FuzzSpec) -> FuzzOutcome {
         }
         let profiles = spec.fault_profiles();
         for (i, profile) in profiles.into_iter().enumerate() {
-            sim.inject_link_faults(long_haul[i], profile);
+            sim.inject_link_faults(long_haul[i], profile)
+                .unwrap_or_else(reject);
         }
         let plan = spec.node_fault_plan();
         let mk_fault = |victim: NodeId| {
@@ -417,13 +419,16 @@ pub fn run_spec(spec: &FuzzSpec) -> FuzzOutcome {
             }
         };
         if spec.nf & NF_HOST_CRASH != 0 {
-            sim.inject_node_fault(mk_fault(servers[plan.host_pick % servers.len()]));
+            sim.inject_node_fault(mk_fault(servers[plan.host_pick % servers.len()]))
+                .unwrap_or_else(reject);
         }
         if spec.nf & NF_SWITCH_CRASH != 0 {
-            sim.inject_node_fault(mk_fault(switches[plan.switch_pick % switches.len()]));
+            sim.inject_node_fault(mk_fault(switches[plan.switch_pick % switches.len()]))
+                .unwrap_or_else(reject);
         }
         if spec.nf & NF_CTRL_OUTAGE != 0 {
-            sim.inject_ctrl_outage(plan.ctrl_from, plan.ctrl_from + plan.ctrl_len);
+            sim.inject_ctrl_outage(plan.ctrl_from, plan.ctrl_from + plan.ctrl_len)
+                .unwrap_or_else(reject);
         }
         let n = spec.flows as usize;
         for i in 0..n {
@@ -575,10 +580,10 @@ fn build_net(spec: &FuzzSpec) -> (Network, [LinkId; 2], Vec<NodeId>, Vec<NodeId>
 }
 
 /// Greedy minimization: keep applying the first size reduction that
-/// still violates until none does. A candidate the config validator
-/// rejects (`CONFIG REJECTED`) is not a reproduction — the engine never
-/// ran — so shrinking skips it rather than slipping onto a different
-/// failure class.
+/// still violates until none does. A candidate the config validator or
+/// a fault injection rejects (`CONFIG REJECTED`) is not a reproduction —
+/// the engine never ran — so shrinking skips it rather than slipping onto
+/// a different failure class.
 pub fn shrink(mut spec: FuzzSpec) -> FuzzSpec {
     loop {
         let mut improved = false;

@@ -506,7 +506,7 @@ mod tests {
 
     /// h0/h2 — s — h1 with a configurable shared buffer.
     fn incast_net(buffer: u64) -> (Network, NodeId, NodeId, NodeId) {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -543,7 +543,8 @@ mod tests {
         };
         let mut sim = Simulator::new(net, cfg, Box::new(NoCcFactory));
         // The h0→h1 data path crosses LinkId(0) then LinkId(3).
-        sim.inject_link_faults(LinkId(3), crate::fault::FaultProfile::uniform_loss(0.02));
+        sim.inject_link_faults(LinkId(3), crate::fault::FaultProfile::uniform_loss(0.02))
+            .expect("valid link fault");
         sim.add_flow(h0, h1, 500_000, 0);
         assert!(sim.run_until_flows_complete());
         assert!(sim.out.fault_drops > 0);

@@ -117,8 +117,7 @@ pub enum ConfigError {
     /// sender would be clamped to a range whose floor exceeds its cap.
     /// A zero-rate link, which would serialize forever, is one of these.
     LinkBelowPacingFloor { link: LinkId, bandwidth: Bandwidth },
-    /// An enabled ECN profile with `Kmin > Kmax` has no valid marking
-    /// region.
+    /// An ECN profile with `Kmin > Kmax` has no valid marking region.
     InvertedEcnThresholds {
         link: LinkId,
         kmin_bytes: u64,
@@ -151,6 +150,10 @@ pub enum ConfigError {
     /// A Gilbert–Elliott transition probability of exactly 1.0
     /// collapses one of the two states to zero dwell time.
     ZeroLengthGilbertState { state: &'static str },
+    /// A link fault aimed at a link the network does not have.
+    NoSuchLink { link: LinkId },
+    /// A node fault aimed at a node the network does not have.
+    NoSuchNode { node: NodeId },
     /// A switch whose summed per-ingress PFC headroom reservation
     /// consumes (or exceeds) its whole buffer leaves no shared pool at
     /// all: every droppable packet would be refused at admission.
@@ -222,6 +225,8 @@ impl std::fmt::Display for ConfigError {
                 "Gilbert-Elliott {state} state has zero dwell time \
                  (transition probability 1.0)"
             ),
+            ConfigError::NoSuchLink { link } => write!(f, "no link {link:?} in the network"),
+            ConfigError::NoSuchNode { node } => write!(f, "no node {node} in the network"),
             ConfigError::HeadroomExceedsBuffer {
                 node,
                 headroom_bytes,
@@ -275,7 +280,7 @@ pub fn validate(cfg: &SimConfig, net: &Network) -> Result<(), ConfigError> {
                 bandwidth: lk.bandwidth,
             });
         }
-        if lk.ecn.enabled && lk.ecn.kmin_bytes > lk.ecn.kmax_bytes {
+        if lk.ecn.kmin_bytes > lk.ecn.kmax_bytes {
             return Err(ConfigError::InvertedEcnThresholds {
                 link: lk.id,
                 kmin_bytes: lk.ecn.kmin_bytes,
@@ -317,24 +322,20 @@ mod tests {
     use crate::topology::{NetBuilder, TwoDcParams, TwoDcTopology};
     use crate::units::{Bandwidth, GBPS, MBPS, US};
 
-    /// Minimal valid h0 — s — h1 line, with hooks to break it.
-    fn line(bandwidth: Bandwidth, ecn: Option<EcnConfig>) -> Network {
-        let mut b = NetBuilder::new(1000);
+    /// Minimal valid h0 — s — h1 line at `bandwidth`.
+    fn line(bandwidth: Bandwidth) -> Network {
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let s = b.add_switch(1 << 20, PfcConfig::dc_switch());
-        let opts = LinkOpts {
-            ecn,
-            ..LinkOpts::default()
-        };
-        b.connect(h0, s, bandwidth, US, opts);
-        b.connect(s, h1, bandwidth, US, opts);
+        b.connect(h0, s, bandwidth, US, LinkOpts::default());
+        b.connect(s, h1, bandwidth, US, LinkOpts::default());
         b.build()
     }
 
     #[test]
     fn valid_pair_passes() {
-        assert_eq!(validate(&SimConfig::default(), &line(GBPS, None)), Ok(()));
+        assert_eq!(validate(&SimConfig::default(), &line(GBPS)), Ok(()));
     }
 
     #[test]
@@ -343,7 +344,7 @@ mod tests {
             mtu_payload: 0,
             ..SimConfig::default()
         };
-        assert_eq!(validate(&cfg, &line(GBPS, None)), Err(ConfigError::ZeroMtu));
+        assert_eq!(validate(&cfg, &line(GBPS)), Err(ConfigError::ZeroMtu));
     }
 
     #[test]
@@ -355,7 +356,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(
-            validate(&cfg, &line(GBPS, None)),
+            validate(&cfg, &line(GBPS)),
             Err(ConfigError::MtuMismatch {
                 cfg: 1500,
                 net: 1000
@@ -365,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_topology_rejected() {
-        let net = NetBuilder::new(1000).build();
+        let net = NetBuilder::new().build();
         assert_eq!(
             validate(&SimConfig::default(), &net),
             Err(ConfigError::EmptyTopology)
@@ -374,7 +375,7 @@ mod tests {
 
     #[test]
     fn hostless_topology_rejected() {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let s0 = b.add_switch(1 << 20, PfcConfig::dc_switch());
         let s1 = b.add_switch(1 << 20, PfcConfig::dc_switch());
         b.connect(s0, s1, GBPS, US, LinkOpts::default());
@@ -390,7 +391,7 @@ mod tests {
         // panics when the line rate is below the floor.
         for bandwidth in [0, 5 * MBPS] {
             assert_eq!(
-                validate(&SimConfig::default(), &line(bandwidth, None)),
+                validate(&SimConfig::default(), &line(bandwidth)),
                 Err(ConfigError::LinkBelowPacingFloor {
                     link: LinkId(0),
                     bandwidth
@@ -398,7 +399,7 @@ mod tests {
             );
         }
         // A link at the floor is accepted and carries a flow to the end.
-        let net = line(10 * MBPS, None);
+        let net = line(10 * MBPS);
         let (h0, h1) = (net.hosts[0], net.hosts[1]);
         let mut sim = Simulator::try_new(net, SimConfig::default(), Box::new(NoCcFactory))
             .expect("a 10 Mb/s link is at the pacing floor");
@@ -410,7 +411,7 @@ mod tests {
     fn duplicate_link_id_rejected() {
         // Two links claiming one id would silently alias per-link state
         // (queues, wire FIFOs, fault draws) in the id-indexed slab.
-        let mut net = line(GBPS, None);
+        let mut net = line(GBPS);
         net.links[1].id = net.links[0].id;
         assert_eq!(
             validate(&SimConfig::default(), &net),
@@ -420,14 +421,16 @@ mod tests {
 
     #[test]
     fn inverted_ecn_thresholds_rejected() {
-        let bad = EcnConfig {
+        // The builder only lays valid profiles, but `Network::links` is
+        // public, so a caller can still break one before `try_new`.
+        let mut net = line(GBPS);
+        net.links[0].ecn = EcnConfig {
             kmin_bytes: 400_000,
             kmax_bytes: 100_000,
             pmax: 0.2,
-            enabled: true,
         };
         assert_eq!(
-            validate(&SimConfig::default(), &line(GBPS, Some(bad))),
+            validate(&SimConfig::default(), &net),
             Err(ConfigError::InvertedEcnThresholds {
                 link: LinkId(0),
                 kmin_bytes: 400_000,
@@ -440,7 +443,7 @@ mod tests {
     fn headroom_exceeding_buffer_rejected() {
         // A 100 KB static headroom per ingress on a 64 KB switch: the
         // two host-facing ports alone reserve 200 KB > 64 KB.
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let pfc = PfcConfig {
@@ -462,7 +465,7 @@ mod tests {
 
     #[test]
     fn headroom_on_pfc_disabled_rejected() {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let pfc = PfcConfig {
@@ -482,8 +485,8 @@ mod tests {
     fn auto_and_legacy_headroom_pass_validation() {
         // Auto-sized (None) fits the default 1 MB line, and Some(0) is
         // the legacy no-headroom mode; both are valid.
-        assert_eq!(validate(&SimConfig::default(), &line(GBPS, None)), Ok(()));
-        let mut b = NetBuilder::new(1000);
+        assert_eq!(validate(&SimConfig::default(), &line(GBPS)), Ok(()));
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let s = b.add_switch(1 << 20, PfcConfig::dc_switch().without_headroom());
@@ -504,13 +507,12 @@ mod tests {
             mtu_payload: 0,
             ..SimConfig::default()
         };
-        let err = Simulator::try_new(line(GBPS, None), cfg, Box::new(NoCcFactory))
+        let err = Simulator::try_new(line(GBPS), cfg, Box::new(NoCcFactory))
             .err()
             .expect("degenerate config must be rejected");
         assert_eq!(err, ConfigError::ZeroMtu);
-        let panicked = std::panic::catch_unwind(|| {
-            Simulator::new(line(GBPS, None), cfg, Box::new(NoCcFactory))
-        });
+        let panicked =
+            std::panic::catch_unwind(|| Simulator::new(line(GBPS), cfg, Box::new(NoCcFactory)));
         assert!(panicked.is_err());
     }
 

@@ -111,11 +111,6 @@ impl<K: DenseKey, V> DenseMap<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
-
-    /// Occupied entries in key order, mutable.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut())
-    }
 }
 
 #[cfg(test)]

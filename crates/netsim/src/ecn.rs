@@ -14,7 +14,6 @@ pub struct EcnConfig {
     pub kmin_bytes: u64,
     pub kmax_bytes: u64,
     pub pmax: f64,
-    pub enabled: bool,
 }
 
 impl EcnConfig {
@@ -33,7 +32,6 @@ impl EcnConfig {
             kmin_bytes,
             kmax_bytes,
             pmax: 0.2,
-            enabled: true,
         }
     }
 
@@ -45,43 +43,20 @@ impl EcnConfig {
             kmin_bytes: 1_000_000,
             kmax_bytes: 8_000_000,
             pmax: 0.2,
-            enabled: true,
-        }
-    }
-
-    /// Marking disabled.
-    pub fn disabled() -> Self {
-        EcnConfig {
-            kmin_bytes: u64::MAX,
-            kmax_bytes: u64::MAX,
-            pmax: 0.0,
-            enabled: false,
         }
     }
 
     /// Marking probability at queue length `qlen` bytes.
     pub fn mark_probability(&self, qlen: u64) -> f64 {
-        if !self.enabled || qlen < self.kmin_bytes {
+        if qlen < self.kmin_bytes {
             0.0
         } else if qlen >= self.kmax_bytes {
             1.0
         } else {
-            // Reaching here implies kmin < qlen-compatible kmax, but a
-            // hand-built config may still set kmax == kmin: treat the
-            // empty ramp as a step to pmax rather than divide by zero.
+            // kmin ≤ qlen < kmax, so the span is positive.
             let span = (self.kmax_bytes - self.kmin_bytes) as f64;
-            if span <= 0.0 {
-                return self.pmax;
-            }
             self.pmax * (qlen - self.kmin_bytes) as f64 / span
         }
-    }
-
-    /// Decide whether to mark, consuming one uniform sample in `[0,1)`.
-    #[inline]
-    pub fn should_mark(&self, qlen: u64, uniform: f64) -> bool {
-        let p = self.mark_probability(qlen);
-        p > 0.0 && uniform < p
     }
 }
 
@@ -94,14 +69,13 @@ mod tests {
         let c = EcnConfig::dc_switch(25 * GBPS);
         assert_eq!(c.mark_probability(0), 0.0);
         assert_eq!(c.mark_probability(c.kmin_bytes - 1), 0.0);
-        assert!(!c.should_mark(c.kmin_bytes - 1, 0.0));
     }
 
     #[test]
     fn above_kmax_always_marks() {
         let c = EcnConfig::dc_switch(25 * GBPS);
         assert_eq!(c.mark_probability(c.kmax_bytes), 1.0);
-        assert!(c.should_mark(c.kmax_bytes, 0.999_999));
+        assert_eq!(c.mark_probability(u64::MAX), 1.0);
     }
 
     #[test]
@@ -118,13 +92,6 @@ mod tests {
         let c100 = EcnConfig::dc_switch(100 * GBPS);
         assert_eq!(c100.kmin_bytes, 4 * c25.kmin_bytes);
         assert_eq!(c100.kmax_bytes, 4 * c25.kmax_bytes);
-    }
-
-    #[test]
-    fn disabled_never_marks() {
-        let c = EcnConfig::disabled();
-        assert!(!c.should_mark(u64::MAX - 1, 0.0));
-        assert_eq!(c.mark_probability(1 << 40), 0.0);
     }
 
     #[test]
@@ -167,7 +134,6 @@ mod tests {
             kmin_bytes: 5_000,
             kmax_bytes: 5_000,
             pmax: 0.2,
-            enabled: true,
         };
         assert_eq!(c.mark_probability(4_999), 0.0);
         let p = c.mark_probability(5_000);

@@ -28,6 +28,9 @@
 //! receivers would otherwise discard every overtaken packet and turn a
 //! microsecond of jitter into a retransmission storm, which is not the
 //! phenomenon the knob is for.
+//!
+//! Loss is the same for every packet kind: one uniform rate, plus a
+//! Gilbert–Elliott channel that loses packets only in its Bad state.
 
 use crate::config::ConfigError;
 use crate::rng::{SimRng, Xoshiro256StarStar};
@@ -42,18 +45,16 @@ const FAULT_STREAM_SALT: u64 = 0x8BAD_F00D_5EED_CAFE;
 /// Two-state Gilbert–Elliott burst-loss model.
 ///
 /// The channel is in a Good or Bad state; each packet first makes a
-/// state transition draw, then a loss draw at the state's loss rate.
-/// With `p_enter_bad = 0` this degenerates to uniform loss at
-/// `loss_good`; classic bursty WAN loss uses a small `p_enter_bad`, a
-/// moderate `p_exit_bad`, and `loss_bad ≫ loss_good`.
+/// state transition draw, then a loss draw. The Good state is lossless
+/// but still takes its loss draw, so every packet costs two draws in
+/// either state; the Bad state loses at `loss_bad`. Classic bursty WAN
+/// loss uses a small `p_enter_bad` and a moderate `p_exit_bad`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GilbertElliott {
     /// P(Good → Bad) evaluated once per packet.
     pub p_enter_bad: f64,
     /// P(Bad → Good) evaluated once per packet.
     pub p_exit_bad: f64,
-    /// Per-packet loss probability while Good.
-    pub loss_good: f64,
     /// Per-packet loss probability while Bad.
     pub loss_bad: f64,
 }
@@ -66,7 +67,6 @@ impl GilbertElliott {
         GilbertElliott {
             p_enter_bad,
             p_exit_bad,
-            loss_good: 0.0,
             loss_bad,
         }
     }
@@ -75,7 +75,6 @@ impl GilbertElliott {
         for (name, p) in [
             ("gilbert.p_enter_bad", self.p_enter_bad),
             ("gilbert.p_exit_bad", self.p_exit_bad),
-            ("gilbert.loss_good", self.loss_good),
             ("gilbert.loss_bad", self.loss_bad),
         ] {
             if !(0.0..=1.0).contains(&p) {
@@ -112,12 +111,9 @@ pub struct FlapWindow {
 /// The default profile is fully inert: no loss, no jitter, no flaps.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultProfile {
-    /// Independent per-packet loss probability for data packets.
-    pub data_loss: f64,
-    /// Independent per-packet loss probability for control packets
-    /// (ACKs, CNPs, Switch-INT) — often lower in practice because
-    /// control frames are small and FEC-protected differently.
-    pub ctrl_loss: f64,
+    /// Independent per-packet loss probability, for data and control
+    /// packets alike.
+    pub loss: f64,
     /// Burst-loss channel model, applied to every packet kind.
     pub gilbert: Option<GilbertElliott>,
     /// Maximum extra one-way delay; each packet draws uniformly from
@@ -129,11 +125,10 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// Uniform random loss at probability `p` for both packet classes.
+    /// Uniform random loss at probability `p`.
     pub fn uniform_loss(p: f64) -> Self {
         FaultProfile {
-            data_loss: p,
-            ctrl_loss: p,
+            loss: p,
             ..FaultProfile::default()
         }
     }
@@ -162,26 +157,19 @@ impl FaultProfile {
     /// attached to links, which keeps no-fault runs bit-identical to
     /// builds that predate fault injection.
     pub fn is_active(&self) -> bool {
-        self.data_loss > 0.0
-            || self.ctrl_loss > 0.0
-            || self.gilbert.is_some()
-            || self.jitter_max > 0
-            || !self.flaps.is_empty()
+        self.loss > 0.0 || self.gilbert.is_some() || self.jitter_max > 0 || !self.flaps.is_empty()
     }
 
     /// Reject nonsensical parameters with a typed [`ConfigError`]:
     /// probabilities outside [0, 1], inverted or overlapping flap
     /// windows, zero-dwell Gilbert–Elliott states.
-    /// [`crate::sim::Simulator::inject_link_faults`] panics with this
-    /// error's message.
+    /// [`crate::sim::Simulator::inject_link_faults`] returns this error.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (name, p) in [("data_loss", self.data_loss), ("ctrl_loss", self.ctrl_loss)] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(ConfigError::FaultProbability {
-                    knob: name,
-                    bits: p.to_bits(),
-                });
-            }
+        if !(0.0..=1.0).contains(&self.loss) {
+            return Err(ConfigError::FaultProbability {
+                knob: "loss",
+                bits: self.loss.to_bits(),
+            });
         }
         if let Some(ge) = &self.gilbert {
             ge.validate()?;
@@ -301,7 +289,7 @@ impl FaultState {
     /// Consumes a fixed number of draws per configured knob (two for
     /// Gilbert–Elliott, one for a nonzero uniform knob) so the draw
     /// sequence depends only on the profile and the packet sequence.
-    pub fn loses(&mut self, is_data: bool) -> bool {
+    pub fn loses(&mut self) -> bool {
         let mut lost = false;
         if let Some(ge) = self.profile.gilbert {
             let flip = if self.in_bad {
@@ -312,20 +300,14 @@ impl FaultState {
             if self.rng.gen_f64() < flip {
                 self.in_bad = !self.in_bad;
             }
-            let p = if self.in_bad {
-                ge.loss_bad
-            } else {
-                ge.loss_good
-            };
+            // The lossless Good state still draws, so every packet costs
+            // the channel two draws and replays do not depend on its state.
+            let p = if self.in_bad { ge.loss_bad } else { 0.0 };
             if self.rng.gen_f64() < p {
                 lost = true;
             }
         }
-        let p = if is_data {
-            self.profile.data_loss
-        } else {
-            self.profile.ctrl_loss
-        };
+        let p = self.profile.loss;
         if p > 0.0 && self.rng.gen_f64() < p {
             lost = true;
         }
@@ -402,24 +384,15 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_probability() {
-        assert_eq!(
-            FaultProfile::uniform_loss(1.5).validate(),
-            Err(ConfigError::FaultProbability {
-                knob: "data_loss",
-                bits: 1.5f64.to_bits(),
-            })
-        );
-        let p = FaultProfile {
-            ctrl_loss: -0.25,
-            ..FaultProfile::default()
-        };
-        assert_eq!(
-            p.validate(),
-            Err(ConfigError::FaultProbability {
-                knob: "ctrl_loss",
-                bits: (-0.25f64).to_bits(),
-            })
-        );
+        for p in [1.5, -0.25] {
+            assert_eq!(
+                FaultProfile::uniform_loss(p).validate(),
+                Err(ConfigError::FaultProbability {
+                    knob: "loss",
+                    bits: p.to_bits(),
+                })
+            );
+        }
     }
 
     #[test]
@@ -506,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data_loss")]
+    #[should_panic(expected = "fault profile loss")]
     fn fault_state_construction_panics_on_invalid_profile() {
         FaultState::new(FaultProfile::uniform_loss(1.5), 1, 0);
     }
@@ -528,24 +501,25 @@ mod tests {
     fn uniform_loss_rate_is_close() {
         let mut st = FaultState::new(FaultProfile::uniform_loss(0.1), 7, 3);
         let n = 100_000;
-        let lost = (0..n).filter(|_| st.loses(true)).count();
+        let lost = (0..n).filter(|_| st.loses()).count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "rate {rate}");
         assert!(!st.down);
     }
 
     #[test]
-    fn data_and_control_knobs_are_independent() {
-        let profile = FaultProfile {
-            data_loss: 0.5,
-            ctrl_loss: 0.0,
-            ..FaultProfile::default()
-        };
-        let mut st = FaultState::new(profile, 1, 0);
-        let ctrl_lost = (0..10_000).filter(|_| st.loses(false)).count();
-        assert_eq!(ctrl_lost, 0, "ctrl_loss 0 must never drop control");
-        let data_lost = (0..10_000).filter(|_| st.loses(true)).count();
-        assert!(data_lost > 4_000 && data_lost < 6_000, "{data_lost}");
+    fn lossless_good_state_still_draws_twice_per_packet() {
+        // A channel that never leaves Good loses nothing, yet each packet
+        // still costs its transition draw and its loss draw.
+        let ge = GilbertElliott::bursty(0.0, 0.5, 1.0);
+        let mut st = FaultState::new(FaultProfile::default().with_gilbert(ge), 3, 1);
+        let mut twin = Xoshiro256StarStar::substream(3 ^ FAULT_STREAM_SALT, 1);
+        for _ in 0..100 {
+            assert!(!st.loses());
+            twin.gen_f64();
+            twin.gen_f64();
+        }
+        assert_eq!(st.rng.next_u64(), twin.next_u64());
     }
 
     #[test]
@@ -553,7 +527,7 @@ mod tests {
         // Bad state: certain loss; mean burst 1/0.2 = 5 packets.
         let ge = GilbertElliott::bursty(0.02, 0.2, 1.0);
         let mut st = FaultState::new(FaultProfile::default().with_gilbert(ge), 42, 0);
-        let outcomes: Vec<bool> = (0..200_000).map(|_| st.loses(true)).collect();
+        let outcomes: Vec<bool> = (0..200_000).map(|_| st.loses()).collect();
         let lost = outcomes.iter().filter(|&&l| l).count();
         // Stationary Bad occupancy 0.02/(0.02+0.2) ≈ 9.1%.
         let rate = lost as f64 / outcomes.len() as f64;
@@ -575,7 +549,7 @@ mod tests {
     fn per_link_substreams_are_isolated_and_replayable() {
         let draws = |link: u64| {
             let mut st = FaultState::new(FaultProfile::uniform_loss(0.5), 99, link);
-            (0..64).map(|_| st.loses(true)).collect::<Vec<_>>()
+            (0..64).map(|_| st.loses()).collect::<Vec<_>>()
         };
         assert_eq!(draws(0), draws(0), "same (seed, link) replays exactly");
         assert_ne!(draws(0), draws(1), "links draw from distinct streams");

@@ -23,7 +23,7 @@
 //! use netsim::prelude::*;
 //!
 //! // Two hosts through one switch at 10 Gbps.
-//! let mut b = NetBuilder::new(1000);
+//! let mut b = NetBuilder::new();
 //! let h0 = b.add_host();
 //! let h1 = b.add_host();
 //! let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::link::LinkOpts;
     pub use crate::monitor::{MonitorLog, MonitorSpec, Sample};
     pub use crate::packet::{MlccFields, Packet, PacketKind, PktPool, MAX_PACKET_BYTES};
-    pub use crate::pfc::{PfcConfig, PfcThreshold};
+    pub use crate::pfc::PfcConfig;
     pub use crate::rng::{SimRng, Xoshiro256StarStar};
     pub use crate::shard::{
         partition_components, run_sharded, run_single_canonical, ShardCtx, ShardedOutput,

@@ -21,12 +21,6 @@ pub struct LinkOpts {
     /// (see [`crate::topology::NetBuilder::build`]), its INT records are
     /// DCI records, and sharding partitions the fabric at it.
     pub long_haul: bool,
-    /// ECN marking profile for this egress. `None` derives it: the
-    /// deep-buffer [`EcnConfig::dci_switch`] profile on the egresses of a
-    /// DCI switch, else the standard profile scaled to the link rate (ECN
-    /// is configured per port on real switches, so thresholds must scale
-    /// with the egress rate, not the switch).
-    pub ecn: Option<EcnConfig>,
 }
 
 /// A unidirectional link plus the egress queue feeding it.
@@ -41,7 +35,11 @@ pub struct Link {
     /// The paired reverse-direction link.
     pub reverse: LinkId,
     pub opts: LinkOpts,
-    /// ECN marking profile of this egress.
+    /// ECN marking profile of this egress: the deep-buffer
+    /// [`EcnConfig::dci_switch`] profile on the egresses of a DCI switch,
+    /// else the standard profile scaled to the link rate (ECN is
+    /// configured per port on real switches, so thresholds must scale
+    /// with the egress rate, not the switch).
     pub ecn: EcnConfig,
     /// Priority FIFOs at the egress.
     pub queues: PrioQueues,

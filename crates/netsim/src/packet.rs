@@ -344,16 +344,6 @@ impl PktPool {
         self.next_id
     }
 
-    /// Free packet boxes currently pooled (diagnostics).
-    pub fn free_packets(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Free INT-stack boxes currently pooled (diagnostics).
-    pub fn free_int_stacks(&self) -> usize {
-        self.free_int.len()
-    }
-
     /// Pre-provision the pools with spare boxes so the in-flight
     /// population can grow to `n_packets` packets / `n_stacks` INT
     /// stacks beyond its current high-water mark without touching the

@@ -6,9 +6,10 @@
 //! drains below Xon it sends a RESUME. Pause frames bypass queues and take
 //! effect after one propagation delay.
 //!
-//! Thresholds are either static per port or "dynamic threshold" (DT), the
-//! scheme shipped in shared-buffer ASICs: an ingress may hold at most
-//! `alpha × (free buffer)` bytes.
+//! The Xoff threshold is the "dynamic threshold" (DT) scheme shipped in
+//! shared-buffer ASICs: an ingress may hold at most `α × (free buffer)`
+//! bytes, with α = 1/8 (the classic Broadcom shared-buffer setting). Xon
+//! sits a fixed gap of two 1048 B wire MTUs below the current Xoff.
 //!
 //! ## Dedicated per-port headroom
 //!
@@ -26,23 +27,18 @@
 
 use crate::units::{bytes_in, Bandwidth, Time};
 
-/// How the Xoff threshold is computed.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PfcThreshold {
-    /// Pause when an ingress holds more than this many bytes.
-    Static { xoff_bytes: u64 },
-    /// Dynamic threshold: pause when `ingress_bytes > alpha * free_bytes`.
-    Dynamic { alpha: f64 },
-}
+/// Dynamic-threshold α: an ingress pauses its upstream once it holds
+/// more than `ALPHA × (free shared buffer)` bytes.
+const ALPHA: f64 = 0.125;
+
+/// Hysteresis gap: a paused ingress resumes once it drops to
+/// `Xoff − XON_GAP_BYTES` (two 1048 B wire MTUs).
+const XON_GAP_BYTES: u64 = 2 * 1048;
 
 /// PFC configuration for one switch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PfcConfig {
     pub enabled: bool,
-    pub threshold: PfcThreshold,
-    /// Hysteresis gap: resume once the ingress drops below
-    /// `threshold - xon_gap_bytes`.
-    pub xon_gap_bytes: u64,
     /// Dedicated per-ingress-port headroom. `None` auto-sizes each port
     /// from its upstream link (`2 × delay × rate + 2 MTU`) at
     /// topology-build time; `Some(0)` disables the reservation (the
@@ -52,24 +48,11 @@ pub struct PfcConfig {
 }
 
 impl PfcConfig {
-    /// Typical shallow-buffer DC switch configuration: dynamic threshold
-    /// with α = 1/8 (the classic Broadcom shared-buffer setting), a
-    /// 2-MTU hysteresis gap, and auto-sized per-port headroom.
+    /// Typical shallow-buffer DC switch configuration: PFC on with
+    /// auto-sized per-port headroom.
     pub fn dc_switch() -> Self {
         PfcConfig {
             enabled: true,
-            threshold: PfcThreshold::Dynamic { alpha: 0.125 },
-            xon_gap_bytes: 2 * 1048,
-            headroom_bytes: None,
-        }
-    }
-
-    /// Static-threshold variant used by targeted unit tests.
-    pub fn with_static(xoff_bytes: u64) -> Self {
-        PfcConfig {
-            enabled: true,
-            threshold: PfcThreshold::Static { xoff_bytes },
-            xon_gap_bytes: 2 * 1048,
             headroom_bytes: None,
         }
     }
@@ -77,10 +60,6 @@ impl PfcConfig {
     pub fn disabled() -> Self {
         PfcConfig {
             enabled: false,
-            threshold: PfcThreshold::Static {
-                xoff_bytes: u64::MAX,
-            },
-            xon_gap_bytes: 0,
             headroom_bytes: Some(0),
         }
     }
@@ -104,13 +83,8 @@ impl PfcConfig {
     /// pool with every port's headroom reservation already carved out —
     /// see [`crate::buffer::SharedBuffer::shared_capacity`]).
     pub fn xoff_threshold(&self, shared_capacity: u64, shared_used: u64) -> u64 {
-        match self.threshold {
-            PfcThreshold::Static { xoff_bytes } => xoff_bytes,
-            PfcThreshold::Dynamic { alpha } => {
-                let free = shared_capacity.saturating_sub(shared_used);
-                (alpha * free as f64) as u64
-            }
-        }
+        let free = shared_capacity.saturating_sub(shared_used);
+        (ALPHA * free as f64) as u64
     }
 }
 
@@ -205,7 +179,7 @@ impl IngressState {
             return PfcAction::None;
         }
         let xoff = cfg.xoff_threshold(shared_capacity, shared_used);
-        let xon = xoff.saturating_sub(cfg.xon_gap_bytes);
+        let xon = xoff.saturating_sub(XON_GAP_BYTES);
         if self.bytes <= xon && self.hr_bytes == 0 {
             self.paused_upstream = false;
             if let Some(since) = self.paused_since.take() {
@@ -223,29 +197,26 @@ mod tests {
     use super::*;
     use crate::units::US;
 
-    const CAP: u64 = 1_000_000;
+    /// With nothing in the shared pool, a capacity of `8 × XOFF` puts the
+    /// dynamic Xoff threshold at `XOFF` (α = 1/8).
+    const XOFF: u64 = 10_000;
+    const CAP: u64 = 8 * XOFF;
 
     #[test]
-    fn static_pause_and_resume_cycle() {
-        let cfg = PfcConfig::with_static(10_000);
+    fn pause_and_resume_cycle() {
+        let cfg = PfcConfig::dc_switch();
         let mut st = IngressState::default();
-        // Fill to just below threshold: no pause.
-        assert_eq!(st.on_enqueue(10_000, &cfg, CAP, 10_000, 0), PfcAction::None);
+        // Fill to the threshold: no pause.
+        assert_eq!(st.on_enqueue(XOFF, &cfg, CAP, 0, 0), PfcAction::None);
         // One more byte crosses it.
-        assert_eq!(
-            st.on_enqueue(1, &cfg, CAP, 10_001, 1 * US),
-            PfcAction::Pause
-        );
+        assert_eq!(st.on_enqueue(1, &cfg, CAP, 0, 1 * US), PfcAction::Pause);
         assert_eq!(st.pause_count, 1);
         // Still above Xon: no resume yet.
+        assert_eq!(st.on_dequeue(1, 0, &cfg, CAP, 0, 2 * US), PfcAction::None);
+        // Drain to Xoff - gap.
+        let target = XOFF - XON_GAP_BYTES;
         assert_eq!(
-            st.on_dequeue(1, 0, &cfg, CAP, 10_000, 2 * US),
-            PfcAction::None
-        );
-        // Drain below xoff - gap.
-        let target = 10_000 - cfg.xon_gap_bytes;
-        assert_eq!(
-            st.on_dequeue(st.bytes - target, 0, &cfg, CAP, target, 3 * US),
+            st.on_dequeue(st.bytes - target, 0, &cfg, CAP, 0, 3 * US),
             PfcAction::Resume
         );
         assert!(!st.paused_upstream);
@@ -254,25 +225,20 @@ mod tests {
 
     #[test]
     fn no_double_pause() {
-        let cfg = PfcConfig::with_static(100);
+        let cfg = PfcConfig::dc_switch();
         let mut st = IngressState::default();
-        assert_eq!(st.on_enqueue(200, &cfg, CAP, 200, 0), PfcAction::Pause);
-        assert_eq!(st.on_enqueue(200, &cfg, CAP, 400, 0), PfcAction::None);
+        assert_eq!(st.on_enqueue(2 * XOFF, &cfg, CAP, 0, 0), PfcAction::Pause);
+        assert_eq!(st.on_enqueue(2 * XOFF, &cfg, CAP, 0, 0), PfcAction::None);
         assert_eq!(st.pause_count, 1);
     }
 
     #[test]
     fn dynamic_threshold_shrinks_as_buffer_fills() {
-        let cfg = PfcConfig {
-            enabled: true,
-            threshold: PfcThreshold::Dynamic { alpha: 1.0 },
-            xon_gap_bytes: 0,
-            headroom_bytes: Some(0),
-        };
-        // Nearly empty buffer: threshold near capacity.
-        assert_eq!(cfg.xoff_threshold(CAP, 0), CAP);
-        // Half full: threshold at half.
-        assert_eq!(cfg.xoff_threshold(CAP, CAP / 2), CAP / 2);
+        let cfg = PfcConfig::dc_switch();
+        // Empty buffer: α × capacity.
+        assert_eq!(cfg.xoff_threshold(CAP, 0), XOFF);
+        // Half full: half of that.
+        assert_eq!(cfg.xoff_threshold(CAP, CAP / 2), XOFF / 2);
         // Full: threshold zero — everything pauses.
         assert_eq!(cfg.xoff_threshold(CAP, CAP), 0);
     }
@@ -290,12 +256,12 @@ mod tests {
 
     #[test]
     fn resume_requires_hysteresis_gap() {
-        let cfg = PfcConfig::with_static(10_000);
+        let cfg = PfcConfig::dc_switch();
         let mut st = IngressState::default();
-        st.on_enqueue(10_001, &cfg, CAP, 10_001, 0);
+        st.on_enqueue(XOFF + 1, &cfg, CAP, 0, 0);
         assert!(st.paused_upstream);
         // Dequeue 1 byte: still paused (within the hysteresis band).
-        assert_eq!(st.on_dequeue(1, 0, &cfg, CAP, 10_000, 0), PfcAction::None);
+        assert_eq!(st.on_dequeue(1, 0, &cfg, CAP, 0, 0), PfcAction::None);
         assert!(st.paused_upstream);
     }
 
@@ -331,17 +297,13 @@ mod tests {
         // With headroom carved out, the DT threshold sees only the
         // shared pool: a 1 MB buffer with 200 KB reserved behaves like
         // an 800 KB buffer for threshold purposes.
-        let cfg = PfcConfig {
-            enabled: true,
-            threshold: PfcThreshold::Dynamic { alpha: 0.125 },
-            xon_gap_bytes: 2 * 1048,
-            headroom_bytes: Some(100_000),
-        };
-        let shared_cap = CAP - 200_000; // two ports × 100 KB
-                                        // Empty shared pool: threshold is α × the carved capacity, not
-                                        // α × the raw capacity.
+        let cfg = PfcConfig::dc_switch();
+        let raw_cap = 1_000_000;
+        let shared_cap = raw_cap - 200_000; // two ports × 100 KB
+                                            // Empty shared pool: threshold is α × the carved capacity, not
+                                            // α × the raw capacity.
         assert_eq!(cfg.xoff_threshold(shared_cap, 0), 100_000);
-        assert!(cfg.xoff_threshold(shared_cap, 0) < cfg.xoff_threshold(CAP, 0));
+        assert!(cfg.xoff_threshold(shared_cap, 0) < cfg.xoff_threshold(raw_cap, 0));
         // Occupancy exactly at the reservation boundary.
         assert_eq!(
             cfg.xoff_threshold(shared_cap, 200_000),
@@ -356,12 +318,9 @@ mod tests {
 
     #[test]
     fn headroom_charges_defer_resume_until_drained() {
-        let cfg = PfcConfig::with_static(10_000);
+        let cfg = PfcConfig::dc_switch();
         let mut st = IngressState::default();
-        assert_eq!(
-            st.on_enqueue(10_001, &cfg, CAP, 10_001, 0),
-            PfcAction::Pause
-        );
+        assert_eq!(st.on_enqueue(XOFF + 1, &cfg, CAP, 0, 0), PfcAction::Pause);
         // The in-flight tail lands in headroom while paused.
         st.on_enqueue_headroom(3_000);
         assert_eq!(st.bytes, 13_001);
@@ -369,14 +328,14 @@ mod tests {
         // Drain below Xon but with headroom still occupied: no resume —
         // the next pause cycle must start with the full reservation.
         assert_eq!(
-            st.on_dequeue(12_000, 2_000, &cfg, CAP, 1_001, US),
+            st.on_dequeue(12_000, 2_000, &cfg, CAP, 0, US),
             PfcAction::None
         );
         assert!(st.paused_upstream);
         assert_eq!(st.hr_bytes, 1_000);
         // Final headroom byte leaves: now the resume fires.
         assert_eq!(
-            st.on_dequeue(1_000, 1_000, &cfg, CAP, 1, 2 * US),
+            st.on_dequeue(1_000, 1_000, &cfg, CAP, 0, 2 * US),
             PfcAction::Resume
         );
         assert_eq!(st.hr_bytes, 0);
@@ -385,47 +344,39 @@ mod tests {
 
     #[test]
     fn xon_gap_interacts_with_the_carved_threshold() {
-        // Static Xoff 10 000, gap 2096: Xon at 7904 regardless of the
-        // carve-out; with a dynamic threshold the gap applies to the
-        // shrunken threshold instead.
-        let st_cfg = PfcConfig::with_static(10_000);
+        // Xoff 10 000, gap 2096: Xon at 7904 while the shared pool holds
+        // still.
+        let cfg = PfcConfig::dc_switch();
         let mut st = IngressState::default();
-        st.on_enqueue(10_001, &st_cfg, CAP, 10_001, 0);
+        st.on_enqueue(XOFF + 1, &cfg, CAP, 0, 0);
         assert_eq!(
-            st.on_dequeue(10_001 - 7_905, 0, &st_cfg, CAP, 7_905, 0),
+            st.on_dequeue(XOFF + 1 - 7_905, 0, &cfg, CAP, 0, 0),
             PfcAction::None,
             "one byte above Xon must stay paused"
         );
-        assert_eq!(
-            st.on_dequeue(1, 0, &st_cfg, CAP, 7_904, 0),
-            PfcAction::Resume
-        );
+        assert_eq!(st.on_dequeue(1, 0, &cfg, CAP, 0, 0), PfcAction::Resume);
 
-        let dyn_cfg = PfcConfig {
-            enabled: true,
-            threshold: PfcThreshold::Dynamic { alpha: 0.5 },
-            xon_gap_bytes: 1_000,
-            headroom_bytes: Some(100_000),
-        };
-        let shared_cap = 100_000;
-        // Threshold α·(shared free); at 60 KB used the threshold is
-        // 20 KB, so 21 KB of ingress occupancy pauses.
+        // The gap applies to the threshold of the moment, which grows as
+        // the shared pool drains. At 240 KB of a 400 KB pool used, Xoff is
+        // 0.125·160 000 = 20 000, so 21 KB of ingress occupancy pauses.
+        let shared_cap = 400_000;
         let mut st = IngressState::default();
-        st.on_enqueue(21_000, &dyn_cfg, shared_cap, 60_000, 0);
+        st.on_enqueue(21_000, &cfg, shared_cap, 240_000, 0);
         assert!(st.paused_upstream);
-        // After draining 500 B the threshold is 0.5·40 500 = 20 250 and
-        // Xon 19 250; 20 500 B queued stays inside the hysteresis band.
+        // After draining 500 B the threshold is 0.125·160 500 = 20 062
+        // and Xon 17 966; 20 500 B queued stays inside the hysteresis band.
         assert_eq!(
-            st.on_dequeue(500, 0, &dyn_cfg, shared_cap, 59_500, 0),
+            st.on_dequeue(500, 0, &cfg, shared_cap, 239_500, 0),
             PfcAction::None,
-            "20.5 KB > Xon 19.25 KB: still paused"
+            "20.5 KB > Xon 17.966 KB: still paused"
         );
-        // Another 1 500 B out: threshold 0.5·42 000 = 21 000, Xon
-        // 20 000, and 19 000 B queued clears it.
+        // Another 2 500 B out: threshold 0.125·163 000 = 20 375, Xon
+        // 18 279, and 18 000 B queued clears it (the Xon of the pause
+        // moment, 17 904, would not have).
         assert_eq!(
-            st.on_dequeue(1_500, 0, &dyn_cfg, shared_cap, 58_000, 0),
+            st.on_dequeue(2_500, 0, &cfg, shared_cap, 237_000, 0),
             PfcAction::Resume,
-            "19 KB <= Xon 20 KB with empty headroom: resume"
+            "18 KB <= Xon 18.279 KB with empty headroom: resume"
         );
     }
 }
@@ -443,7 +394,7 @@ mod proptests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xFFC);
         for _ in 0..64 {
             let n_ops = rng.gen_range(1..300);
-            let cfg = PfcConfig::with_static(20_000);
+            let cfg = PfcConfig::dc_switch();
             let mut st = IngressState::default();
             let mut last_was_pause = false;
             let mut used = 0u64;
@@ -452,14 +403,14 @@ mod proptests {
                 let n = rng.gen_range(1..5_000);
                 let act = if enq {
                     used += n;
-                    st.on_enqueue(n, &cfg, 1_000_000, used, 0)
+                    st.on_enqueue(n, &cfg, 160_000, used, 0)
                 } else {
                     let n = n.min(st.bytes);
                     if n == 0 {
                         continue;
                     }
                     used = used.saturating_sub(n);
-                    st.on_dequeue(n, 0, &cfg, 1_000_000, used, 0)
+                    st.on_dequeue(n, 0, &cfg, 160_000, used, 0)
                 };
                 match act {
                     PfcAction::Pause => {

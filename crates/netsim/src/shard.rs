@@ -494,7 +494,7 @@ mod tests {
     /// and s1 DCIs, with the DCI ECN profile on every egress; under
     /// `NoCcFactory` and baseline DCI features the role changes nothing.
     fn two_island_sim() -> Simulator {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -507,16 +507,7 @@ mod tests {
         for h in [h2, h3] {
             b.connect(h, s1, 10 * GBPS, 1 * US, LinkOpts::default());
         }
-        b.connect(
-            s0,
-            s1,
-            10 * GBPS,
-            1 * MS,
-            LinkOpts {
-                long_haul: true,
-                ..LinkOpts::default()
-            },
-        );
+        b.connect(s0, s1, 10 * GBPS, 1 * MS, LinkOpts { long_haul: true });
         let cfg = SimConfig {
             stop_time: 400 * MS,
             ..SimConfig::default()
@@ -535,7 +526,7 @@ mod tests {
 
     #[test]
     fn single_component_topology_is_one_partition() {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let s = b.add_switch(1 << 20, PfcConfig::dc_switch());
@@ -554,7 +545,8 @@ mod tests {
         for l in [LinkId(8), LinkId(9)].into_iter().filter(|_| faulted) {
             assert!(sim.links[l.index()].opts.long_haul);
             let profile = crate::fault::FaultProfile::uniform_loss(0.02).with_jitter(5 * US);
-            sim.inject_link_faults(l, profile);
+            sim.inject_link_faults(l, profile)
+                .expect("valid link fault");
         }
         sim.add_flow(NodeId(0), NodeId(2), 300_000, 0);
         sim.add_flow(NodeId(3), NodeId(1), 200_000, 50 * US);

@@ -144,14 +144,14 @@ struct FlowEnd {
 pub struct Simulator {
     pub now: Time,
     pub cfg: SimConfig,
-    pub events: EventQueue,
+    pub(crate) events: EventQueue,
     pub nodes: Vec<Node>,
     pub links: Vec<Link2>,
-    pub routes: RoutingTables,
+    pub(crate) routes: RoutingTables,
     pub hosts: Vec<NodeId>,
     pub flows: Vec<FlowSpec>,
     /// Resolved path of each registered flow, parallel to `flows`.
-    pub paths: Vec<FlowPath>,
+    pub(crate) paths: Vec<FlowPath>,
     factory: Box<dyn CcFactory>,
     /// Per-link ECN samplers: each egress draws from its own substream
     /// keyed by `(cfg.seed ⊕ ECN_STREAM_SALT, link id)`, so the draw
@@ -161,7 +161,7 @@ pub struct Simulator {
     ecn_rngs: Vec<Xoshiro256StarStar>,
     /// Shard context when this simulator runs as one shard of a
     /// [`crate::shard::run_sharded`] run; `None` in ordinary runs.
-    pub shard: Option<crate::shard::ShardCtx>,
+    pub(crate) shard: Option<crate::shard::ShardCtx>,
     /// Packet-id source plus the recycled heap boxes (packets and INT
     /// stacks) that make the steady-state data path allocation-free: a
     /// packet lives in exactly one box from birth at the host NIC to
@@ -188,12 +188,12 @@ pub struct Simulator {
     /// Monotone count of sender-side give-ups (never decremented, even
     /// if a straggling completion later supersedes the failure): one
     /// half of the watchdog's progress metric.
-    pub giveup_count: u64,
+    pub(crate) giveup_count: u64,
     /// Sim time of the last in-order byte delivered at any receiver
     /// this engine owns.
-    pub last_progress_at: Time,
+    pub(crate) last_progress_at: Time,
     /// In-order bytes delivered at receivers this engine owns.
-    pub delivered_total: u64,
+    pub(crate) delivered_total: u64,
     /// Optional flight recorder (see [`crate::trace`]). Off by default.
     pub trace: Option<Trace>,
     /// Fabric invariant auditor (see [`crate::audit`]). Observation-only:
@@ -313,19 +313,23 @@ impl Simulator {
     /// The link gets its own RNG substream keyed by `(cfg.seed, link)`,
     /// so injecting faults here never perturbs draws anywhere else —
     /// see [`crate::fault`] for the full determinism contract. Inert
-    /// profiles are ignored entirely.
-    pub fn inject_link_faults(&mut self, link: LinkId, profile: FaultProfile) {
-        if let Err(e) = profile.validate() {
-            panic!("invalid fault profile: {e}");
-        }
-        if !profile.is_active() {
-            return;
-        }
+    /// profiles are ignored entirely. An invalid profile returns its
+    /// [`FaultProfile::validate`] error, and a link the network lacks
+    /// returns [`ConfigError::NoSuchLink`].
+    pub fn inject_link_faults(
+        &mut self,
+        link: LinkId,
+        profile: FaultProfile,
+    ) -> Result<(), ConfigError> {
+        profile.validate()?;
+        let Some(lk) = self.links.get(link.index()) else {
+            return Err(ConfigError::NoSuchLink { link });
+        };
         // In shard mode only the owner of the link's egress serializes
         // onto it; other shards ignore the profile entirely so flap
         // events and drop counters are not double-counted.
-        if !self.owns_node(self.links[link.index()].src) {
-            return;
+        if !profile.is_active() || !self.owns_node(lk.src) {
+            return Ok(());
         }
         for w in &profile.flaps {
             self.events
@@ -335,6 +339,7 @@ impl Simulator {
         }
         let st = FaultState::new(profile, self.cfg.seed, link.0 as u64);
         self.links[link.index()].faults = Some(Box::new(st));
+        Ok(())
     }
 
     /// Schedule a node-level fault — a host or switch crash, with an
@@ -344,16 +349,14 @@ impl Simulator {
     /// must answer identically everywhere), but the crash/restart
     /// *actions* — buffer drain, trace records — are events owned by
     /// the crashed node's shard, so they fire exactly once per run at
-    /// any shard count.
-    pub fn inject_node_fault(&mut self, fault: NodeFault) {
-        if let Err(e) = fault.validate() {
-            panic!("invalid node fault: {e}");
+    /// any shard count. An invalid window returns its
+    /// [`NodeFault::validate`] error, and a node the network lacks
+    /// returns [`ConfigError::NoSuchNode`].
+    pub fn inject_node_fault(&mut self, fault: NodeFault) -> Result<(), ConfigError> {
+        fault.validate()?;
+        if fault.node.index() >= self.nodes.len() {
+            return Err(ConfigError::NoSuchNode { node: fault.node });
         }
-        assert!(
-            fault.node.index() < self.nodes.len(),
-            "node fault targets nonexistent {}",
-            fault.node
-        );
         if self.owns_node(fault.node) {
             for (at, down) in [(Some(fault.down_at), true), (fault.up_at, false)] {
                 if let Some(at) = at {
@@ -363,6 +366,7 @@ impl Simulator {
             }
         }
         self.node_faults.push(fault);
+        Ok(())
     }
 
     /// Make the fabric's telemetry control plane dark over
@@ -371,10 +375,17 @@ impl Simulator {
     /// ACKs, and PFQ credit stamps still flow — they are data-plane
     /// state. Purely table-driven (no events), so the window
     /// replicates freely across shards; each suppression is counted
-    /// once, at the egress that would have telemetered.
-    pub fn inject_ctrl_outage(&mut self, from: Time, until: Time) {
-        assert!(from < until, "empty control-plane outage window");
+    /// once, at the egress that would have telemetered. An empty window
+    /// returns [`ConfigError::InvertedFlapWindow`].
+    pub fn inject_ctrl_outage(&mut self, from: Time, until: Time) -> Result<(), ConfigError> {
+        if from >= until {
+            return Err(ConfigError::InvertedFlapWindow {
+                down_at: from,
+                up_at: until,
+            });
+        }
         self.ctrl_outages.push((from, until));
+        Ok(())
     }
 
     /// Whether the telemetry control plane is dark at `now`.
@@ -1380,7 +1391,7 @@ impl Simulator {
                 // Black hole: data and control alike die on a dark wire.
                 fs.down_drop();
                 arrival = None;
-            } else if fs.loses(pkt.is_data()) {
+            } else if fs.loses() {
                 arrival = None;
             } else {
                 arrival = arrival.map(|t| fs.jittered_arrival(t));
@@ -1622,7 +1633,6 @@ fn rearm(events: &mut EventQueue, slot: &mut Option<Time>, now: Time, at: Time, 
 mod tests {
     use super::*;
     use crate::cc::{FixedRateCc, NoCcFactory, ReceiverCc, SenderCc};
-    use crate::ecn::EcnConfig;
     use crate::link::LinkOpts;
     use crate::pfc::PfcConfig;
     use crate::topology::NetBuilder;
@@ -1630,7 +1640,7 @@ mod tests {
 
     /// h0 — s — h1, both links 10 Gbps / 1 µs.
     fn line_net() -> Network {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
@@ -1641,7 +1651,7 @@ mod tests {
 
     /// h0 — s1 — … — s(L−1) — h1: `hops` links of 10 Gbps / 1 µs.
     fn chain_net(hops: usize) -> Network {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let (h0, h1) = (b.add_host(), b.add_host());
         let mut prev = h0;
         for _ in 1..hops {
@@ -1743,7 +1753,7 @@ mod tests {
         // h0 — s0 — h2 and h1 — s1, with no link between the switches:
         // h0 → h1 has no route, and registration must say so with a typed
         // error before it touches any per-flow state.
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let (h0, h1, h2) = (b.add_host(), b.add_host(), b.add_host());
         let s0 = b.add_switch(22_000_000, PfcConfig::dc_switch());
         let s1 = b.add_switch(22_000_000, PfcConfig::dc_switch());
@@ -1779,7 +1789,7 @@ mod tests {
         // h0 and h2 both send to h1 at line rate: the s→h1 link is the
         // bottleneck; PFC keeps everything lossless, so both flows
         // complete and deliver all bytes.
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -1802,7 +1812,7 @@ mod tests {
     #[test]
     fn pfc_triggers_under_incast() {
         // Small switch buffer forces PFC pauses under 2:1 incast.
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -1823,7 +1833,7 @@ mod tests {
 
     #[test]
     fn drops_without_pfc_then_rto_recovers() {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -1873,28 +1883,13 @@ mod tests {
             }
         }
 
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
         let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
-        let custom = EcnConfig {
-            kmin_bytes: 20_000,
-            kmax_bytes: 80_000,
-            pmax: 0.2,
-            enabled: true,
-        };
         for h in [h0, h1, h2] {
-            b.connect(
-                h,
-                s,
-                10 * GBPS,
-                1 * US,
-                LinkOpts {
-                    ecn: Some(custom),
-                    ..LinkOpts::default()
-                },
-            );
+            b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default());
         }
         let net = b.build();
         let marks = Rc::new(Cell::new(0));
@@ -1907,6 +1902,34 @@ mod tests {
         sim.add_flow(h2, h1, 2_000_000, 0);
         assert!(sim.run_until_flows_complete());
         assert!(marks.get() > 0, "standing queue must produce CE marks");
+    }
+
+    #[test]
+    fn below_kmin_egress_draws_no_ecn_sample() {
+        // h0 and h2 fan in on h1 at line rate, so the s→h1 egress queues
+        // past Kmax and marks; h3's lone flow to h4 never queues the s→h4
+        // egress anywhere near Kmin. The marking path draws its uniform
+        // only when the marking probability is nonzero, so the quiet
+        // egress's sampler must still be the fresh substream.
+        let mut b = NetBuilder::new();
+        let hosts: Vec<NodeId> = (0..5).map(|_| b.add_host()).collect();
+        let s = b.add_switch(22_000_000, PfcConfig::dc_switch());
+        let to_host: Vec<LinkId> = hosts
+            .iter()
+            .map(|&h| b.connect(h, s, 10 * GBPS, 1 * US, LinkOpts::default()).1)
+            .collect();
+        let cfg = SimConfig::default();
+        let mut sim = Simulator::new(b.build(), cfg, Box::new(NoCcFactory));
+        sim.add_flow(hosts[0], hosts[1], 2_000_000, 0);
+        sim.add_flow(hosts[2], hosts[1], 2_000_000, 0);
+        sim.add_flow(hosts[3], hosts[4], 2_000_000, 0);
+        assert!(sim.run_until_flows_complete());
+        assert!(sim.out.ecn_marks > 0, "the incast egress must mark");
+        let fresh =
+            |l: LinkId| Xoshiro256StarStar::substream(cfg.seed ^ ECN_STREAM_SALT, l.0 as u64);
+        let (quiet, marking) = (to_host[4], to_host[1]);
+        assert_eq!(sim.ecn_rngs[quiet.index()], fresh(quiet), "below Kmin");
+        assert_ne!(sim.ecn_rngs[marking.index()], fresh(marking), "marking");
     }
 
     #[test]
@@ -2062,7 +2085,8 @@ mod tests {
         // A second flow toward a receiver that crashes for good: only the
         // watchdog can end it, and its report must count it.
         let start = sim.now + US;
-        sim.inject_node_fault(NodeFault::crash(NodeId(1), start));
+        sim.inject_node_fault(NodeFault::crash(NodeId(1), start))
+            .expect("valid node fault");
         sim.add_flow(NodeId(0), NodeId(1), 100_000, start);
         assert!(!sim.run_until_flows_complete());
         let r = sim.out.watchdog.expect("the stranded flow stalls the run");
@@ -2085,13 +2109,73 @@ mod tests {
     /// LinkId(3) (s→h1); ACKs return over LinkId(2) and LinkId(1).
     const DATA_LAST_HOP: LinkId = LinkId(3);
 
+    fn fault_sim() -> Simulator {
+        Simulator::new(line_net(), SimConfig::default(), Box::new(NoCcFactory))
+    }
+
+    #[test]
+    fn invalid_link_fault_profile_is_refused() {
+        let err = fault_sim().inject_link_faults(DATA_LAST_HOP, FaultProfile::uniform_loss(1.5));
+        assert_eq!(
+            err,
+            Err(ConfigError::FaultProbability {
+                knob: "loss",
+                bits: 1.5f64.to_bits(),
+            })
+        );
+    }
+
+    #[test]
+    fn link_fault_on_a_missing_link_is_refused() {
+        let link = LinkId(4);
+        let err = fault_sim().inject_link_faults(link, FaultProfile::uniform_loss(0.1));
+        assert_eq!(err, Err(ConfigError::NoSuchLink { link }));
+    }
+
+    #[test]
+    fn inverted_node_fault_is_refused() {
+        let fault = NodeFault::restart(NodeId(1), 2 * MS, MS);
+        assert_eq!(
+            fault_sim().inject_node_fault(fault),
+            Err(ConfigError::InvertedFlapWindow {
+                down_at: 2 * MS,
+                up_at: MS,
+            })
+        );
+    }
+
+    #[test]
+    fn node_fault_on_a_missing_node_is_refused() {
+        let node = NodeId(3);
+        assert_eq!(
+            fault_sim().inject_node_fault(NodeFault::crash(node, MS)),
+            Err(ConfigError::NoSuchNode { node })
+        );
+    }
+
+    #[test]
+    fn empty_ctrl_outage_is_refused() {
+        let mut sim = fault_sim();
+        for (from, until) in [(MS, MS), (2 * MS, MS)] {
+            assert_eq!(
+                sim.inject_ctrl_outage(from, until),
+                Err(ConfigError::InvertedFlapWindow {
+                    down_at: from,
+                    up_at: until,
+                })
+            );
+        }
+        assert!(!sim.ctrl_dark(MS), "a refused window leaves no outage");
+    }
+
     #[test]
     fn inert_profile_is_never_attached() {
         let run = |inject: bool| {
             let net = line_net();
             let mut sim = Simulator::new(net, SimConfig::default(), Box::new(NoCcFactory));
             if inject {
-                sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::default());
+                sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::default())
+                    .expect("valid link fault");
                 assert!(
                     sim.links[DATA_LAST_HOP.index()].faults.is_none(),
                     "inert profile must not allocate fault state"
@@ -2113,7 +2197,8 @@ mod tests {
         };
         let mut sim = Simulator::new(net, cfg, Box::new(NoCcFactory));
         sim.enable_trace(1 << 16);
-        sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::uniform_loss(0.02));
+        sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::uniform_loss(0.02))
+            .expect("valid link fault");
         sim.add_flow(NodeId(0), NodeId(1), 500_000, 0);
         assert!(
             sim.run_until_flows_complete(),
@@ -2150,7 +2235,8 @@ mod tests {
         sim.enable_trace(1 << 16);
         let down_at = 100 * US;
         let up_at = 3 * MS;
-        sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::flap(down_at, up_at));
+        sim.inject_link_faults(DATA_LAST_HOP, FaultProfile::flap(down_at, up_at))
+            .expect("valid link fault");
         sim.add_flow(NodeId(0), NodeId(1), 500_000, 0);
         assert!(
             sim.run_until_flows_complete(),
@@ -2183,9 +2269,11 @@ mod tests {
                 FaultProfile::uniform_loss(0.01)
                     .with_jitter(5 * US)
                     .with_gilbert(GilbertElliott::bursty(0.02, 0.3, 0.5)),
-            );
+            )
+            .expect("valid link fault");
             // Independent loss on the reverse (ACK) direction too.
-            sim.inject_link_faults(LinkId(2), FaultProfile::uniform_loss(0.005));
+            sim.inject_link_faults(LinkId(2), FaultProfile::uniform_loss(0.005))
+                .expect("valid link fault");
             sim.add_flow(NodeId(0), NodeId(1), 500_000, 0);
             assert!(sim.run_until_flows_complete());
             (
@@ -2208,7 +2296,7 @@ mod tests {
         // heavy loss+jitter profile there must not move the flow by one
         // picosecond (per-link RNG substreams are fully isolated).
         let run = |faults: bool| {
-            let mut b = NetBuilder::new(1000);
+            let mut b = NetBuilder::new();
             let h0 = b.add_host();
             let h1 = b.add_host();
             let h2 = b.add_host();
@@ -2219,7 +2307,8 @@ mod tests {
             let mut sim = Simulator::new(b.build(), SimConfig::default(), Box::new(NoCcFactory));
             if faults {
                 for l in [idle_up, idle_down] {
-                    sim.inject_link_faults(l, FaultProfile::uniform_loss(0.5).with_jitter(50 * US));
+                    sim.inject_link_faults(l, FaultProfile::uniform_loss(0.5).with_jitter(50 * US))
+                        .expect("valid link fault");
                 }
             }
             sim.add_flow(h0, h1, 250_000, 0);

@@ -12,15 +12,15 @@
 //!   whose hosts per edge switch set its oversubscription, the canonical
 //!   multipath fabric for collective workloads.
 //!
-//! The §4.1 link delays (1 µs to a server, 5 µs between switches), the
-//! 128 MB DCI buffer and the [`MTU_PAYLOAD`] are constants shared by all
-//! four builders.
+//! The §4.1 link delays (1 µs to a server, 5 µs between switches) and the
+//! 128 MB DCI buffer are constants shared by all four builders, and every
+//! host [`NetBuilder`] adds packetizes [`MTU_PAYLOAD`].
 
 use crate::ecn::EcnConfig;
 use crate::host::Host;
 use crate::link::{Link, LinkOpts};
 use crate::node::Node;
-use crate::packet::MTU_PAYLOAD;
+use crate::packet::{DATA_HEADER_BYTES, MTU_PAYLOAD};
 use crate::pfc::PfcConfig;
 use crate::pfq::PfqSet;
 use crate::queue::PrioQueues;
@@ -37,35 +37,29 @@ pub struct Network {
     pub hosts: Vec<NodeId>,
 }
 
+/// Wire size of a full data packet.
+const MTU_WIRE: u32 = MTU_PAYLOAD + DATA_HEADER_BYTES;
+
 /// Incremental network builder.
+#[derive(Default)]
 pub struct NetBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(LinkId, NodeId)>>,
     hosts: Vec<NodeId>,
-    mtu_payload: u32,
 }
 
 impl NetBuilder {
-    pub fn new(mtu_payload: u32) -> Self {
-        NetBuilder {
-            nodes: Vec::new(),
-            links: Vec::new(),
-            adjacency: Vec::new(),
-            hosts: Vec::new(),
-            mtu_payload,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Add a server. Its uplink is wired by the first `connect` call that
     /// names it.
     pub fn add_host(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::Host(Host::new(
-            id,
-            LinkId(u32::MAX),
-            self.mtu_payload,
-        )));
+        self.nodes
+            .push(Node::Host(Host::new(id, LinkId(u32::MAX), MTU_PAYLOAD)));
         self.adjacency.push(Vec::new());
         self.hosts.push(id);
         id
@@ -82,7 +76,9 @@ impl NetBuilder {
     }
 
     /// Connect two nodes with a bidirectional link pair; returns
-    /// `(a→b, b→a)`.
+    /// `(a→b, b→a)`. Both egresses mark with the standard ECN profile
+    /// scaled to `bandwidth` until [`Self::build`] finds a DCI at either
+    /// end.
     pub fn connect(
         &mut self,
         a: NodeId,
@@ -93,7 +89,7 @@ impl NetBuilder {
     ) -> (LinkId, LinkId) {
         let fwd = LinkId(self.links.len() as u32);
         let rev = LinkId(self.links.len() as u32 + 1);
-        let ecn = opts.ecn.unwrap_or_else(|| EcnConfig::dc_switch(bandwidth));
+        let ecn = EcnConfig::dc_switch(bandwidth);
         for (id, reverse, src, dst) in [(fwd, rev, a, b), (rev, fwd, b, a)] {
             self.links.push(Link {
                 id,
@@ -128,8 +124,7 @@ impl NetBuilder {
 
     /// Attach an MLCC per-flow-queue set to a link's egress.
     pub fn enable_pfq(&mut self, link: LinkId, init_rate: Bandwidth) {
-        let mtu_wire = self.mtu_payload + crate::packet::DATA_HEADER_BYTES;
-        self.links[link.index()].pfq = Some(PfqSet::new(init_rate, mtu_wire));
+        self.links[link.index()].pfq = Some(PfqSet::new(init_rate, MTU_WIRE));
     }
 
     /// Finalize: derive the DCI roles, resolve per-ingress PFC headroom
@@ -138,8 +133,7 @@ impl NetBuilder {
     /// The long-haul flag is the one declaration of the datacenter
     /// boundary: a switch is a DCI exactly when it terminates a
     /// long-haul link. Each such switch gets a [`DciState`], and each of
-    /// its egresses without an explicit ECN profile gets the deep-buffer
-    /// [`EcnConfig::dci_switch`] profile.
+    /// its egresses the deep-buffer [`EcnConfig::dci_switch`] profile.
     ///
     /// Headroom resolution walks every link into a PFC-enabled switch
     /// and dedicates `headroom_bytes` of that switch's buffer to the
@@ -160,14 +154,10 @@ impl NetBuilder {
                 }
                 sw.dci = Some(DciState::default());
                 for &(egress, _) in &self.adjacency[n.index()] {
-                    let lk = &mut self.links[egress.index()];
-                    if lk.opts.ecn.is_none() {
-                        lk.ecn = EcnConfig::dci_switch();
-                    }
+                    self.links[egress.index()].ecn = EcnConfig::dci_switch();
                 }
             }
         }
-        let mtu_wire = (self.mtu_payload + crate::packet::DATA_HEADER_BYTES) as u64;
         for i in 0..self.links.len() {
             let (id, dst, delay, bw) = {
                 let l = &self.links[i];
@@ -180,7 +170,7 @@ impl NetBuilder {
                 let hr = sw
                     .pfc
                     .headroom_bytes
-                    .unwrap_or_else(|| PfcConfig::auto_headroom_bytes(bw, delay, mtu_wire));
+                    .unwrap_or_else(|| PfcConfig::auto_headroom_bytes(bw, delay, MTU_WIRE as u64));
                 if hr > 0 {
                     sw.set_ingress_headroom(id, hr);
                 }
@@ -200,10 +190,7 @@ impl NetBuilder {
 }
 
 /// The options of every long-haul link the builders below lay.
-const LONG_HAUL: LinkOpts = LinkOpts {
-    long_haul: true,
-    ecn: None,
-};
+const LONG_HAUL: LinkOpts = LinkOpts { long_haul: true };
 /// Propagation delay of every server link (§4.1).
 const NIC_DELAY: Time = 1 * US;
 /// Propagation delay of every switch-to-switch link inside a datacenter.
@@ -374,7 +361,7 @@ pub struct TwoDcTopology {
 
 impl TwoDcTopology {
     pub fn build(params: TwoDcParams) -> Self {
-        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let mut b = NetBuilder::new();
         let w = wire_dcs(&mut b, &params, 2);
         TwoDcTopology {
             net: b.build(),
@@ -456,7 +443,7 @@ impl MultiDcTopology {
             dc.spines_per_dc >= 1 && dc.leaves_per_dc >= 1 && dc.servers_per_leaf >= 1,
             "degenerate spine-leaf island: {dc:?}"
         );
-        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let mut b = NetBuilder::new();
         let w = wire_dcs(&mut b, dc, params.islands);
         MultiDcTopology {
             net: b.build(),
@@ -532,7 +519,7 @@ pub struct DumbbellTopology {
 
 impl DumbbellTopology {
     pub fn build(params: DumbbellParams) -> Self {
-        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let mut b = NetBuilder::new();
         let mut servers = Vec::new();
         let mut tors = Vec::new();
         let mut dcis = Vec::new();
@@ -633,7 +620,7 @@ impl FatTreeTopology {
         );
         assert!(p.hosts_per_edge >= 1, "fat-tree needs hosts per edge");
         let half = p.k / 2;
-        let mut b = NetBuilder::new(MTU_PAYLOAD);
+        let mut b = NetBuilder::new();
         let cores: Vec<NodeId> = (0..half * half)
             .map(|_| b.add_switch(p.switch_buffer, p.pfc))
             .collect();
@@ -747,33 +734,19 @@ mod tests {
     }
 
     #[test]
-    fn dci_role_skips_hosts_and_keeps_explicit_ecn() {
+    fn dci_role_skips_hosts() {
         // h0 ═ s0 — h1: the host end of the long haul takes no role, and
-        // the DCI's egress toward h1 keeps the profile `connect` gave it.
-        let custom = EcnConfig {
-            kmin_bytes: 1_000,
-            kmax_bytes: 2_000,
-            pmax: 0.5,
-            enabled: true,
-        };
-        let mut b = NetBuilder::new(1000);
+        // every egress of the DCI, toward h1 too, gets the DCI profile.
+        let mut b = NetBuilder::new();
         let (h0, h1) = (b.add_host(), b.add_host());
         let s0 = b.add_switch(1 << 20, PfcConfig::disabled());
-        let lh = LinkOpts {
-            long_haul: true,
-            ..LinkOpts::default()
-        };
-        let (up, down) = b.connect(h0, s0, 10 * GBPS, MS, lh);
-        let explicit = LinkOpts {
-            ecn: Some(custom),
-            ..LinkOpts::default()
-        };
-        let (_, to_h1) = b.connect(h1, s0, 10 * GBPS, US, explicit);
+        let (up, down) = b.connect(h0, s0, 10 * GBPS, MS, LONG_HAUL);
+        let (_, to_h1) = b.connect(h1, s0, 10 * GBPS, US, LinkOpts::default());
         let net = b.build();
         assert_eq!(dci_switches(&net), vec![s0]);
         assert_eq!(net.links[up.index()].ecn, EcnConfig::dc_switch(10 * GBPS));
         assert_eq!(net.links[down.index()].ecn, EcnConfig::dci_switch());
-        assert_eq!(net.links[to_h1.index()].ecn, custom);
+        assert_eq!(net.links[to_h1.index()].ecn, EcnConfig::dci_switch());
     }
 
     #[test]

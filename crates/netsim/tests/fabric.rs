@@ -222,7 +222,7 @@ fn pfc_backpressure_propagates_upstream() {
     // h0 → s1 → s2 → h1 with a slow last link and tiny buffers: the
     // overload at s2 must pause s1, and the overload then pauses h0 —
     // losslessly.
-    let mut b = NetBuilder::new(1000);
+    let mut b = NetBuilder::new();
     let h0 = b.add_host();
     let h1 = b.add_host();
     let s1 = b.add_switch(300_000, PfcConfig::dc_switch());
@@ -311,7 +311,7 @@ fn window_cap_bounds_inflight_queue() {
         }
     }
     let build = || {
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
         let h2 = b.add_host();
@@ -399,7 +399,7 @@ fn trace_records_flow_lifecycle_and_pfq() {
 #[test]
 fn trace_captures_drops_and_retransmits() {
     // Tiny buffer, no PFC: guaranteed drops and go-back-N recovery.
-    let mut b = NetBuilder::new(1000);
+    let mut b = NetBuilder::new();
     let h0 = b.add_host();
     let h1 = b.add_host();
     let h2 = b.add_host();
@@ -505,7 +505,7 @@ fn dumbbell_paths_are_cross_dc() {
 fn control_traffic_does_not_count_as_data_queue() {
     // ACK backlog on a link must not inflate the ECN-relevant data-queue
     // depth used for marking.
-    let mut b = NetBuilder::new(1000);
+    let mut b = NetBuilder::new();
     let h0 = b.add_host();
     let h1 = b.add_host();
     let s = b.add_switch(22_000_000, PfcConfig::dc_switch());

@@ -5,15 +5,13 @@
 //! Turns `netsim` run outputs into the paper's metrics: average and
 //! tail (99.9th percentile) flow completion times, intra-/cross-DC
 //! breakdowns, the Figs. 13–14 size buckets, Jain's fairness index, and
-//! text/CSV/JSON rendering for the figure harness (see [`json`] for the
-//! in-repo JSON writer).
+//! text-table and JSON rendering for the figure harness (see [`json`] for
+//! the in-repo JSON writer).
 
 pub mod fct;
 pub mod json;
 pub mod table;
-pub mod timeseries;
 
 pub use fct::{jain_index, mean, percentile, size_bucket, FctBreakdown, FctSummary, SIZE_BUCKETS};
 pub use json::Value as JsonValue;
-pub use table::{csv, TextTable};
-pub use timeseries::{ewma, peak, resample, settles_below, tail_mean, time_weighted_mean};
+pub use table::TextTable;

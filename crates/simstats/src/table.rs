@@ -51,18 +51,6 @@ impl TextTable {
     }
 }
 
-/// CSV rendering of (x, series...) data for plotting.
-pub fn csv<T: std::fmt::Display>(headers: &[&str], rows: &[Vec<T>]) -> String {
-    let mut out = headers.join(",");
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +74,5 @@ mod tests {
     fn arity_checked() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let out = csv(&["t", "q"], &[vec![1, 10], vec![2, 20]]);
-        assert_eq!(out, "t,q\n1,10\n2,20\n");
     }
 }

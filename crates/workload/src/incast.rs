@@ -54,11 +54,6 @@ impl IncastPattern {
             })
             .collect()
     }
-
-    /// Total bytes one epoch delivers to the aggregator.
-    pub fn epoch_bytes(&self) -> u64 {
-        self.senders.len() as u64 * self.response_bytes
-    }
 }
 
 /// Request completion times per epoch, from the flat FCT records of a
@@ -107,7 +102,6 @@ mod tests {
             assert!(flows.iter().all(|f| f.dst == NodeId(9)));
             assert!(flows.iter().all(|f| f.size_bytes == 128_000));
         }
-        assert_eq!(p.epoch_bytes(), 512_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use simstats::jain_index;
 /// Two senders → one receiver through a single switch; measure tail
 /// throughput fairness and utilization.
 fn two_flow_share(factory: Box<dyn CcFactory>) -> (f64, f64) {
-    let mut b = NetBuilder::new(1000);
+    let mut b = NetBuilder::new();
     let h0 = b.add_host();
     let h1 = b.add_host();
     let h2 = b.add_host();

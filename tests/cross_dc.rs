@@ -23,7 +23,7 @@ struct HandBuilt {
 }
 
 fn hand_built() -> HandBuilt {
-    let mut b = NetBuilder::new(1000);
+    let mut b = NetBuilder::new();
     let hosts = [b.add_host(), b.add_host(), b.add_host(), b.add_host()];
     let mut dcis = Vec::new();
     let mut dci_to_tor = Vec::new();
@@ -38,10 +38,7 @@ fn hand_built() -> HandBuilt {
         dcis.push(dci);
         dci_to_tor.push(d2t);
     }
-    let long_haul = LinkOpts {
-        long_haul: true,
-        ..LinkOpts::default()
-    };
+    let long_haul = LinkOpts { long_haul: true };
     b.connect(dcis[0], dcis[1], 100 * GBPS, MS, long_haul);
     HandBuilt {
         net: b.build(),

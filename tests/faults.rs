@@ -35,7 +35,8 @@ fn run_dumbbell(algo: &str, profile: FaultProfile, flow_bytes: u64, seed: u64) -
     };
     let mut sim = Simulator::new(topo.net, cfg, fac);
     for l in long_haul {
-        sim.inject_link_faults(l, profile.clone());
+        sim.inject_link_faults(l, profile.clone())
+            .expect("valid link fault");
     }
     sim.add_flow(servers[0][0], servers[1][0], flow_bytes, 0);
     sim.add_flow(servers[1][1], servers[0][1], flow_bytes, 0);

@@ -29,7 +29,8 @@ fn cut_sim(cfg_mut: impl FnOnce(&mut SimConfig)) -> (Simulator, [LinkId; 2], Vec
 fn permanent_cut(sim: &mut Simulator, long_haul: [LinkId; 2], down_at: Time) {
     let up_at = sim.cfg.stop_time + SEC;
     for l in long_haul {
-        sim.inject_link_faults(l, FaultProfile::flap(down_at, up_at));
+        sim.inject_link_faults(l, FaultProfile::flap(down_at, up_at))
+            .expect("valid link fault");
     }
 }
 
@@ -80,7 +81,8 @@ fn host_crash_fails_flows_with_typed_reason() {
     // Crash the receiver mid-transfer — after the ~2 ms cross-DC RTT
     // has carried some ACKs back, well before the transfer can finish
     // — and never bring it back.
-    sim.inject_node_fault(NodeFault::crash(dst, 3 * MS));
+    sim.inject_node_fault(NodeFault::crash(dst, 3 * MS))
+        .expect("valid node fault");
     sim.add_flow(src, dst, 50_000_000, 0);
     assert!(!sim.run_until_flows_complete());
     let o = sim.out.outcomes[0];
@@ -98,7 +100,8 @@ fn host_restart_resumes_and_completes() {
     let (mut sim, _lh, servers) = cut_sim(|cfg| cfg.giveup_rto_limit = 0);
     let (src, dst) = (servers[0][0], servers[1][0]);
     let (down_at, up_at) = (300 * US, 20 * MS);
-    sim.inject_node_fault(NodeFault::restart(dst, down_at, up_at));
+    sim.inject_node_fault(NodeFault::restart(dst, down_at, up_at))
+        .expect("valid node fault");
     sim.add_flow(src, dst, 5_000_000, 0);
     assert!(
         sim.run_until_flows_complete(),

@@ -31,7 +31,7 @@ fn auto_headroom_makes_random_incasts_lossless() {
         let headroom = PfcConfig::auto_headroom_bytes(bw, delay, MTU_WIRE);
         let buffer = ports * headroom + margin;
 
-        let mut b = NetBuilder::new(1000);
+        let mut b = NetBuilder::new();
         let receiver = b.add_host();
         let sw = b.add_switch(buffer, PfcConfig::dc_switch());
         b.connect(receiver, sw, bw, delay, LinkOpts::default());

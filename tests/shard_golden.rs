@@ -49,7 +49,8 @@ fn scenario(
         if faulted {
             let profile = FaultProfile::uniform_loss(0.01).with_jitter(5 * US);
             for l in long_haul {
-                sim.inject_link_faults(l, profile.clone());
+                sim.inject_link_faults(l, profile.clone())
+                    .expect("valid link fault");
             }
         }
         for side in 0..2 {
@@ -199,7 +200,8 @@ fn cut_scenario(
     };
     let setup = move |sim: &mut Simulator| {
         for l in long_haul {
-            sim.inject_link_faults(l, FaultProfile::flap(200 * US, 3 * SEC));
+            sim.inject_link_faults(l, FaultProfile::flap(200 * US, 3 * SEC))
+                .expect("valid link fault");
         }
         for side in 0..2 {
             let (senders, receivers) = (&servers[side], &servers[1 - side]);
@@ -294,7 +296,8 @@ fn multi_island_scenario(
         if faulted {
             let profile = FaultProfile::uniform_loss(0.01).with_jitter(5 * US);
             for l in lh01 {
-                sim.inject_link_faults(l, profile.clone());
+                sim.inject_link_faults(l, profile.clone())
+                    .expect("valid link fault");
             }
         }
         let mut i: usize = 0;
